@@ -57,8 +57,9 @@ DEFAULT_SOURCES: Dict[str, ModuleSources] = {
     # DPF dealing: the point alpha and the payload beta are the client's
     # query secrets; fresh seeds are secret until split into keys.
     "*/crypto/dpf.py": ModuleSources(
-        params={"gen_dpf": ["alpha", "value"]},
-        source_calls={"random_seed"},
+        params={"gen_dpf": ["alpha", "value"],
+                "gen_dpf_batch": ["alphas", "values"]},
+        source_calls={"random_seed", "random_seeds"},
     ),
     # AEAD: keys and plaintexts never drive control flow.
     "*/crypto/aead.py": ModuleSources(
@@ -71,8 +72,8 @@ DEFAULT_SOURCES: Dict[str, ModuleSources] = {
         secret_attrs={"_master"},
     ),
     "*/crypto/chacha.py": ModuleSources(
-        params={"chacha20_block": ["keys"], "chacha20_stream": ["key"],
-                "xor_stream": ["key", "data"]},
+        params={"chacha20_block": ["keys"], "chacha20_rows": ["rows"],
+                "chacha20_stream": ["key"], "xor_stream": ["key", "data"]},
     ),
     # Merkle verification runs client-side over fetched secret content.
     "*/crypto/merkle.py": ModuleSources(
@@ -117,11 +118,17 @@ DEFAULT_SOURCES: Dict[str, ModuleSources] = {
         params={"ZltpClient.get_slot": ["slot"],
                 "ZltpClient.get_slots": ["slots"],
                 "ZltpClient.candidate_slots": ["key"],
-                "ZltpClient.get": ["key"]},
+                "ZltpClient.get": ["key"],
+                "ZltpClient.get_many": ["keys"]},
     ),
     # Mode clients build the query payloads from the secret slot.
     "*/core/zltp/modes.py": ModuleSources(
-        params={"queries_for_slot": ["slot"]},
+        params={"queries_for_slot": ["slot"],
+                "queries_for_slots": ["slots"]},
+    ),
+    # The registry's burst helper sees the same secret slots.
+    "*/core/backend.py": ModuleSources(
+        params={"queries_for_slots": ["slots"]},
     ),
 }
 

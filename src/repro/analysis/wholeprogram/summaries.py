@@ -68,9 +68,9 @@ DECLASSIFIERS = {
     # argument. Distinctive names are listed bare as well as qualified so
     # the boundary survives module moves and unresolved receivers.
     "gen_dpf",
-    "gen_dpf_subkeys",
+    "gen_dpf_batch",
     "repro.crypto.dpf:gen_dpf",
-    "repro.crypto.dpf_distributed:gen_dpf_subkeys",
+    "repro.crypto.dpf:gen_dpf_batch",
     # AEAD ciphertexts/tags are public; the key never is. ("seal" stays
     # qualified: the bare name is too generic to declassify globally.)
     "repro.crypto.aead:seal",
@@ -85,7 +85,10 @@ DECLASSIFIERS = {
     "repro.crypto.lwe:LwePirClient.query",
     # Mode clients emit wire payloads built from DPF keys / LWE queries.
     "queries_for_slot",
+    "queries_for_slots",
     "repro.core.zltp.modes:queries_for_slot",
+    "repro.core.zltp.modes:queries_for_slots",
+    "repro.core.backend:queries_for_slots",
     "repro.pir.twoserver:TwoServerPirClient.query",
     # Path ORAM position maps return uniformly random leaf labels whose
     # distribution is independent of the looked-up address — revealing

@@ -240,13 +240,29 @@ class PirBackend(Protocol):
 
 
 class PirBackendClient(Protocol):
-    """Client half of a PIR backend: build queries, decode answers."""
+    """Client half of a PIR backend: build queries, decode answers.
+
+    A backend whose query generation amortises across a burst may also
+    define ``queries_for_slots(slots) -> List[List[bytes]]`` (one
+    ``queries_for_slot`` result per slot, in order); :func:`queries_for_slots`
+    uses it when present and loops ``queries_for_slot`` otherwise.
+    """
 
     def queries_for_slot(self, slot: int) -> List[bytes]:
         """One opaque query payload per server endpoint."""
 
     def decode(self, answers: List[bytes]) -> bytes:
         """Recombine the per-endpoint answers into the fetched record."""
+
+
+def queries_for_slots(client: PirBackendClient,
+                      slots: Sequence[int]) -> List[List[bytes]]:
+    """The query payloads for a burst of slots, per slot then per endpoint,
+    through the backend's batch hook when it has one."""
+    batch = getattr(client, "queries_for_slots", None)
+    if batch is not None:
+        return batch(list(slots))
+    return [client.queries_for_slot(slot) for slot in slots]
 
 
 # --------------------------------------------------------------------------
@@ -579,6 +595,7 @@ __all__ = [
     "timed_answer_batch",
     "PirBackend",
     "PirBackendClient",
+    "queries_for_slots",
     "BackendCost",
     "ServerContext",
     "BackendSpec",

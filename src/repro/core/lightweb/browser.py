@@ -11,9 +11,11 @@ A page visit follows the paper's four steps exactly:
 3. **Fetch data blobs** — the program plans at most ``fetch_budget`` data
    fetches; the browser *pads the count to exactly the budget* with dummy
    keyword lookups so "the number of data blobs fetched per page view" is
-   fixed, as §3.2 requires. Protected payloads are unsealed with the user's
-   account keys (§3.3); missing keys render as access-denied rather than
-   failing the page.
+   fixed, as §3.2 requires, and issues the whole budget as one pipelined
+   burst: a page view is one round trip on the data session, whatever the
+   page. Protected payloads are unsealed with the user's account keys
+   (§3.3); missing keys render as access-denied rather than failing the
+   page.
 4. **Render content** — the program's template produces text;
    ``[[path|label]]`` spans become followable links, and continuation
    chunks surface as "next" links (§5's long-value story).
@@ -221,12 +223,13 @@ class LightwebBrowser:
                 route, match, storage_view, query, self.fetch_budget
             )
 
+        # Real paths first, then dummy keyword lookups up to the fixed
+        # budget, so the on-the-wire GET count never depends on the page
+        # (§3.2).
+        payloads = self._fetch_page(fetch_paths)
         integrity_root = _integrity_root(program)
-        data = [self._fetch_data(p, notes, integrity_root) for p in fetch_paths]
-        # Pad to the fixed budget with dummy keyword lookups so the
-        # on-the-wire GET count never depends on the page (§3.2).
-        for _ in range(self.fetch_budget - len(fetch_paths)):
-            self._dummy_fetch()
+        data = [self._decode_data(data_path, payload, notes, integrity_root)
+                for data_path, payload in zip(fetch_paths, payloads)]
 
         if route is None:
             text = f"[not found] {parsed.full}"
@@ -258,8 +261,7 @@ class LightwebBrowser:
         """
         if not self.connected:
             raise ProtocolError("browser is not connected to a universe")
-        for _ in range(self.fetch_budget):
-            self._dummy_fetch()
+        self._fetch_page([])
 
     def follow(self, page: RenderedPage, index: int) -> RenderedPage:
         """Follow the ``index``-th link of a rendered page."""
@@ -331,11 +333,25 @@ class LightwebBrowser:
             if value is not None:
                 self.storage.set(domain, key, value)
 
-    def _fetch_data(self, data_path: str, notes: List[str],
-                    integrity_root: Optional[bytes] = None
-                    ) -> Optional[Dict[str, Any]]:
-        payload = self._data_client.get(data_path)
-        self._log("data-get")
+    def _fetch_page(self, data_paths: List[str]) -> List[Optional[bytes]]:
+        """One page view on the data session: exactly ``fetch_budget``
+        keyword GETs in a single pipelined burst; returns the payloads of
+        the real paths (which lead the burst)."""
+        keys = list(data_paths)
+        while len(keys) < self.fetch_budget:
+            self._dummy_counter += 1
+            nonce = int(self._rng.integers(0, 2**62))
+            # A key that cannot exist: same wire signature as a real GET
+            # (same probe count, same sizes), no real content.
+            keys.append(f"padding.invalid/{nonce}-{self._dummy_counter}")
+        payloads = self._data_client.get_many(keys)
+        for _ in keys:
+            self._log("data-get")
+        return payloads[: len(data_paths)]
+
+    def _decode_data(self, data_path: str, payload: Optional[bytes],
+                     notes: List[str], integrity_root: Optional[bytes] = None
+                     ) -> Optional[Dict[str, Any]]:
         if payload is None:
             return None
         try:
@@ -388,14 +404,6 @@ class LightwebBrowser:
         if not isinstance(inner, dict):
             inner = {"body": inner}
         return inner
-
-    def _dummy_fetch(self) -> None:
-        self._dummy_counter += 1
-        nonce = int(self._rng.integers(0, 2**62))
-        # A keyword lookup for a key that cannot exist: same wire signature
-        # as a real GET (same probe count, same sizes), no real content.
-        self._data_client.get(f"padding.invalid/{nonce}-{self._dummy_counter}")
-        self._log("data-get")
 
 
 def _integrity_root(program: LightscriptProgram) -> Optional[bytes]:

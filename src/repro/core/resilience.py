@@ -254,6 +254,17 @@ class EndpointPool:
                 ) from exc
 
 
+def send_burst(transport: Any, payloads: Sequence[bytes]) -> None:
+    """``transport.send_frames(payloads)`` — one write per burst — or frame
+    by frame on a duck-typed transport that only has ``send_frame``."""
+    send_frames = getattr(transport, "send_frames", None)
+    if send_frames is not None:
+        send_frames(payloads)
+        return
+    for payload in payloads:
+        transport.send_frame(payload)
+
+
 class ReconnectingTransport:
     """A transport wrapper that survives connection loss.
 
@@ -360,15 +371,20 @@ class ReconnectingTransport:
 
     def send_frame(self, payload: bytes) -> None:
         """Send one frame, reconnecting and replaying on failure."""
+        self.send_frames([payload])
+
+    def send_frames(self, payloads: Sequence[bytes]) -> None:
+        """Send a burst as one write; the journal still records it frame
+        by frame, so replay and acknowledgement stay per request."""
         raw = self._ensure_raw()
         if not self._established:
-            raw.send_frame(payload)
+            send_burst(raw, payloads)
             return
-        self._unacked.append(payload)
+        self._unacked.extend(payloads)
         try:
-            raw.send_frame(payload)
+            send_burst(raw, payloads)
         except TransportError as exc:
-            # Recovery replays the whole journal — including the frame
+            # Recovery replays the whole journal — including the frames
             # just appended — so a successful reconnect IS the send.
             self._recover(exc)
 
@@ -484,9 +500,8 @@ class ReconnectingTransport:
                 if self.on_reconnect is not None:
                     self.on_reconnect(raw)
                 # Shape-preserving replay: the exact bytes of every
-                # unanswered request, in order.
-                for frame in self._unacked:
-                    raw.send_frame(frame)
+                # unanswered request, in order, as one burst again.
+                send_burst(raw, list(self._unacked))
             except TransportError:
                 if raw is not None:
                     try:
@@ -552,4 +567,5 @@ __all__ = [
     "ReconnectingTransport",
     "resilient",
     "resilient_pool",
+    "send_burst",
 ]

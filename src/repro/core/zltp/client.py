@@ -9,7 +9,9 @@ operation at two levels:
   actually moves), and
 - :meth:`get` — the paper's keyword API: hash the key to its fixed probe
   slots, privately fetch *all* of them (the probe count never depends on
-  the key or its presence), and decode the matching record.
+  the key or its presence), and decode the matching record;
+  :meth:`get_many` does that for several keys — a page's worth — in one
+  pipelined burst.
 
 The client also keeps byte counters, which are the measured communication
 numbers of benchmark E3.
@@ -22,7 +24,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core import backend as backend_registry
-from repro.core.resilience import Deadline
+from repro.core.resilience import Deadline, send_burst
 from repro.core.zltp import messages as msg
 from repro.crypto.cuckoo import CuckooTable
 from repro.crypto.hashing import KeyedHash
@@ -203,13 +205,15 @@ class ZltpClient:
         return self.get_slots([slot])[0]
 
     def get_slots(self, slots: List[int], deadline_seconds: Optional[float] = None) -> List[bytes]:  # lint: allow(secret-branch) — only the *number* of requested slots shapes control flow here, and the request count is public by design (§2.1 leaks it); the slot values never branch
-        """Privately fetch several slots with pipelined requests.
+        """Privately fetch several slots in one pipelined burst.
 
-        All GetRequests are written before any response is read, so a
-        batching-aware server (the §5.1 path) sees them arrive together
-        and can answer the whole run with one pass over the database.
-        Responses on each transport come back in request order; ids are
-        checked against the ids sent.
+        The queries for the whole burst are built together (one batched
+        key generation where the mode has one) and every endpoint's
+        GetRequests go out in a single write before any response is read,
+        so a batching-aware server (the §5.1 path) sees them arrive
+        together and answers the whole run with one pass over the DPF tree
+        and one over the database. Responses on each transport come back
+        in request order; ids are checked against the ids sent.
 
         Args:
             slots: database slots to fetch.
@@ -233,23 +237,20 @@ class ZltpClient:
             return []
         deadline = (Deadline.start(deadline_seconds)
                     if deadline_seconds is not None else None)
-        request_ids: List[int] = []
-        per_slot_queries = []
-        for slot in slots:
-            queries = self._mode_client.queries_for_slot(slot)
-            if len(queries) != len(self._transports):
-                raise ProtocolError("mode produced wrong number of queries")
-            per_slot_queries.append(queries)
-            request_ids.append(self._next_request_id)
-            self._next_request_id += 1
+        per_slot_queries = backend_registry.queries_for_slots(
+            self._mode_client, slots)
+        if any(len(queries) != len(self._transports)
+               for queries in per_slot_queries):
+            raise ProtocolError("mode produced wrong number of queries")
+        first_id = self._next_request_id
+        self._next_request_id += len(per_slot_queries)
+        request_ids = range(first_id, self._next_request_id)
         for endpoint, transport in enumerate(self._transports):
-            for request_id, queries in zip(request_ids, per_slot_queries):
-                transport.send_frame(
-                    msg.encode_message(
-                        msg.GetRequest(request_id=request_id,
-                                       payload=queries[endpoint])
-                    )
-                )
+            send_burst(transport, [
+                msg.encode_message(msg.GetRequest(request_id=request_id,
+                                                  payload=queries[endpoint]))
+                for request_id, queries in zip(request_ids, per_slot_queries)
+            ])
         per_slot_answers: List[List[bytes]] = [[] for _ in slots]
         shed = 0
         shed_detail = ""
@@ -308,15 +309,40 @@ class ZltpClient:
         Returns:
             The value payload, or None if no record for ``key`` exists.
         """
+        return self.get_many([key], deadline_seconds=deadline_seconds)[0]
+
+    def get_many(self, keys: List[str],
+                 deadline_seconds: Optional[float] = None
+                 ) -> List[Optional[bytes]]:
+        """Privately fetch several keywords in one pipelined burst.
+
+        Every key's ``probes`` candidate slots go out together as one
+        :meth:`get_slots` call — ``len(keys) * probes`` fixed-size GETs in
+        one round trip, the count a function of the public key count only.
+
+        Args:
+            keys: the keywords to look up.
+            deadline_seconds: optional wall-clock budget for the burst.
+
+        Returns:
+            One value payload per key, in order; None where no record for
+            the key exists.
+        """
         # The span carries only the public probe count and mode — never
-        # the key, its slots, or whether it was found.
+        # a key, its slots, or whether it was found.
         with span("zltp.client.get", mode=self.mode, probes=self.probes):
-            found = None
-            for record in self.get_slots(self.candidate_slots(key),
-                                         deadline_seconds=deadline_seconds):
-                payload = decode_record(key, record)
-                if payload is not None and found is None:
-                    found = payload
+            slots = [slot for key in keys
+                     for slot in self.candidate_slots(key)]
+            records = self.get_slots(slots, deadline_seconds=deadline_seconds)
+            found: List[Optional[bytes]] = []
+            for index, key in enumerate(keys):
+                value = None
+                for record in records[index * self.probes:
+                                      (index + 1) * self.probes]:
+                    payload = decode_record(key, record)
+                    if payload is not None and value is None:
+                        value = payload
+                found.append(value)
             return found
 
     # ------------------------------------------------------------------

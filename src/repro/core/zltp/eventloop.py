@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.zltp import messages as msg
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import StatsTcpServer
+from repro.core.zltp.sockets import StatsTcpServer, set_nodelay
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.errors import TransportError
 from repro.obs.logs import get_logger
@@ -252,6 +252,12 @@ class ZltpEventLoopServer:
                 # EMFILE or a listener torn down mid-accept: stop
                 # accepting this tick; existing sessions keep running.
                 return
+            try:
+                set_nodelay(sock)
+            except OSError:
+                # The peer reset before we got to it; nothing to serve.
+                sock.close()
+                continue
             sock.setblocking(False)
             conn = _Connection(sock, self.server.create_session(),
                                time.monotonic())

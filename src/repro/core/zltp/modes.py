@@ -37,7 +37,7 @@ from repro.core.backend import (
     negotiate,
 )
 from repro.crypto import aead
-from repro.crypto.dpf import gen_dpf
+from repro.crypto.dpf import gen_dpf_batch
 from repro.crypto.lwe import LweParams, LwePirClient, LwePirServer
 from repro.errors import ProtocolError
 from repro.oram.enclave import SimulatedEnclave
@@ -138,8 +138,15 @@ class Pir2ModeClient:
 
     def queries_for_slot(self, slot: int) -> List[bytes]:
         """One DPF key per server."""
-        key0, key1 = gen_dpf(slot, self.domain_bits, rng=self._rng)
-        return [key0.to_bytes(), key1.to_bytes()]
+        return self.queries_for_slots([slot])[0]
+
+    def queries_for_slots(self, slots: List[int]) -> List[List[bytes]]:
+        """One DPF key per server for every slot, dealt in one batch."""
+        return [
+            [key0.to_bytes(), key1.to_bytes()]
+            for key0, key1 in gen_dpf_batch(slots, self.domain_bits,
+                                            rng=self._rng)
+        ]
 
     def decode(self, answers: List[bytes]) -> bytes:
         """XOR the two servers' shares into the record."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import ReconnectingTransport, RetryPolicy, resilient
 from repro.core.zltp import messages as msg
@@ -37,6 +37,13 @@ from repro.obs.metrics import (
 _RECV_CHUNK = 65536
 
 _log = get_logger(__name__)
+
+
+def set_nodelay(sock: socket.socket) -> None:
+    """Turn Nagle off: every ZLTP write is a complete frame or burst of
+    frames, and holding one back for an ACK only adds a stall per round
+    trip."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class TcpTransport:
@@ -74,16 +81,21 @@ class TcpTransport:
         return TransportError(f"transport {self.name!r} is closed")
 
     def send_frame(self, payload: bytes) -> None:
+        self.send_frames([payload])
+
+    def send_frames(self, payloads: Sequence[bytes]) -> None:
+        """Frame the burst and hand it to the kernel in one ``sendall``, so
+        pipelined requests arrive at the server as one readable chunk."""
         if self.closed:
             raise self._closed_error()
-        frame = encode_frame(payload)
+        burst = b"".join(encode_frame(payload) for payload in payloads)
         try:
-            self._sock.sendall(frame)
+            self._sock.sendall(burst)
         except OSError as exc:
             if self.closed:
                 raise self._closed_error() from exc
             raise TransportError(f"send failed: {exc}") from exc
-        self._bytes_sent += len(frame)
+        self._bytes_sent += len(burst)
 
     def recv_frame(self) -> bytes:
         while not self._pending:
@@ -419,9 +431,10 @@ class ZltpTcpServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         session = self.server.create_session()
         decoder = FrameDecoder()
-        if self._io_timeout is not None:
-            conn.settimeout(self._io_timeout)
         try:
+            set_nodelay(conn)
+            if self._io_timeout is not None:
+                conn.settimeout(self._io_timeout)
             while not session.closed and not self._stopping.is_set():
                 try:
                     chunk = conn.recv(_RECV_CHUNK)
@@ -534,6 +547,7 @@ def connect_tcp(host: str, port: int, timeout: Optional[float] = 10.0,
         # Typed like every other transport failure, so retry policies and
         # endpoint pools treat a refused dial as a recoverable event.
         raise TransportError(f"connect to {host}:{port} failed: {exc}") from exc
+    set_nodelay(sock)
     sock.settimeout(io_timeout)
     return TcpTransport(sock, name=f"tcp:{host}:{port}")
 

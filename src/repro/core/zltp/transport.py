@@ -15,7 +15,7 @@ latency and adversarial observation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.errors import TransportError
@@ -27,6 +27,16 @@ class Transport:
     def send_frame(self, payload: bytes) -> None:
         """Send one message payload (framed on the wire)."""
         raise NotImplementedError
+
+    def send_frames(self, payloads: Sequence[bytes]) -> None:
+        """Send a burst of message payloads, in order.
+
+        A transport with a real write path overrides this to put the whole
+        burst on the wire in one write, so pipelined requests reach the
+        peer together; the default is frame by frame.
+        """
+        for payload in payloads:
+            self.send_frame(payload)
 
     def recv_frame(self) -> bytes:
         """Receive the next message payload.

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core import backend as backend_registry
 from repro.costmodel.aws import C5_LARGE, InstanceType
 from repro.costmodel.datasets import GIB, KIB, DatasetSpec
-from repro.crypto.dpf import LAMBDA_BITS, gen_dpf
+from repro.crypto.dpf import LAMBDA_BITS, gen_dpf, key_wire_bytes
 from repro.errors import ReproError
 from repro.pir.database import BlobDatabase
 from repro.pir.twoserver import TwoServerPirServer
@@ -108,12 +108,9 @@ def paper_key_bytes(domain_bits: int, lam: int = LAMBDA_BITS) -> int:
 
 
 def implementation_key_bytes(domain_bits: int) -> int:
-    """Actual serialised key size of *our* DPF implementation."""
-    key0, _ = gen_dpf(0, min(domain_bits, 30))
-    per_level = 16 + 1
-    measured_levels = min(domain_bits, 30)
-    overhead = len(key0.to_bytes()) - measured_levels * per_level
-    return overhead + domain_bits * per_level
+    """Serialised key size of *our* DPF implementation, from the wire
+    layout (so domains deeper than the dealer supports still price)."""
+    return key_wire_bytes(domain_bits)
 
 
 @dataclass(frozen=True)

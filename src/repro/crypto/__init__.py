@@ -13,7 +13,15 @@ for revocation, and a Regev-LWE single-server PIR core for the
 
 from repro.crypto.chacha import chacha20_block, chacha20_stream
 from repro.crypto.prg import Prg, expand_seeds, seed_bytes_to_words, seed_words_to_bytes
-from repro.crypto.dpf import DpfKey, gen_dpf, eval_dpf, eval_dpf_full, dpf_key_bits
+from repro.crypto.dpf import (
+    DpfKey,
+    dpf_key_bits,
+    eval_dpf,
+    eval_dpf_full,
+    eval_dpf_full_batch,
+    gen_dpf,
+    gen_dpf_batch,
+)
 from repro.crypto.dpf_distributed import split_dpf_key, eval_subkey_full, SubtreeKey
 from repro.crypto.hashing import KeyedHash, collision_probability, domain_bits_for
 from repro.crypto.cuckoo import CuckooTable
@@ -31,8 +39,10 @@ __all__ = [
     "seed_words_to_bytes",
     "DpfKey",
     "gen_dpf",
+    "gen_dpf_batch",
     "eval_dpf",
     "eval_dpf_full",
+    "eval_dpf_full_batch",
     "dpf_key_bits",
     "split_dpf_key",
     "eval_subkey_full",

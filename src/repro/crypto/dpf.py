@@ -26,13 +26,21 @@ Two output flavours are provided:
 Key size matches the paper's formula: "(λ+2)·d where λ is the security
 parameter (λ=128) and 2^d is the size of the output domain" (§5.1) — see
 :func:`dpf_key_bits`.
+
+Dealing and full-domain evaluation are batch operations
+(:func:`gen_dpf_batch`, :func:`eval_dpf_full_batch`): a tree level costs
+one PRG call however many keys share it, so a page's worth of keys costs
+little more than one. The single-key functions are the batch of one, and
+every full or partial tree expansion — here and in
+:mod:`repro.crypto.dpf_distributed` — is the one loop in
+:func:`expand_tree`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +48,9 @@ from repro.crypto import prg
 from repro.crypto.prg import (
     SEED_BYTES,
     convert_seeds,
+    expand_into,
     expand_seeds,
-    random_seed,
+    random_seeds,
 )
 from repro.errors import CryptoError
 
@@ -115,7 +124,7 @@ class DpfKey:
         if not 1 <= domain_bits <= MAX_DOMAIN_BITS:
             raise CryptoError(f"invalid domain_bits {domain_bits}")
         offset = 6
-        expected = offset + SEED_BYTES + domain_bits * (SEED_BYTES + 1) + out_bytes
+        expected = key_wire_bytes(domain_bits, out_bytes)
         if len(raw) != expected:
             raise CryptoError(
                 f"DPF key length mismatch: got {len(raw)}, expected {expected}"
@@ -147,7 +156,118 @@ class DpfKey:
         )
 
 
-def gen_dpf(  # lint: allow(secret-branch) — dealer-side: alpha/beta are the dealer's own secrets; only the pseudorandom keys leave this process, so local branching on alpha is unobservable
+def key_wire_bytes(domain_bits: int, out_bytes: int = 0) -> int:
+    """Serialised size of one key: header, root seed, one (seed, packed
+    control bits) correction word per level, final correction word."""
+    return 6 + SEED_BYTES + domain_bits * (SEED_BYTES + 1) + out_bytes
+
+
+def _select_mask(t_bits: np.ndarray) -> np.ndarray:
+    """Control bits 0/1 as uint32 words 0/0xFFFFFFFF, for branch-free
+    ``correction & mask`` in place of ``if t: seed ^= correction``."""
+    return np.negative(t_bits.astype(np.uint32))
+
+
+def gen_dpf_batch(
+    alphas: Sequence[int],
+    domain_bits: int,
+    values: Optional[Sequence[bytes]] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> List[Tuple[DpfKey, DpfKey]]:
+    """Deal one DPF key pair per point, all trees walked together.
+
+    Byte-identical to ``[gen_dpf(alpha, domain_bits, value, rng) ...]`` in
+    order (the seeds are drawn from ``rng`` in that order), at one PRG
+    call per level for the whole batch.
+
+    Args:
+        alphas: the distinguished points, each in ``[0, 2**domain_bits)``.
+        domain_bits: d, the depth of the evaluation tree.
+        values: the outputs ``beta`` as equal-length byte strings, one per
+            point, or None for bit-output mode (``beta = 1`` in GF(2)).
+        rng: optional deterministic randomness source (for tests).
+
+    Returns:
+        ``[(key0, key1), ...]`` aligned with ``alphas``.
+    """
+    if not 1 <= domain_bits <= MAX_DOMAIN_BITS:
+        raise CryptoError(f"domain_bits must be in [1, {MAX_DOMAIN_BITS}]")
+    count = len(alphas)
+    if values is not None and len(values) != count:
+        raise CryptoError("need exactly one value per alpha")
+    if count == 0:
+        return []
+    points = np.asarray(alphas, dtype=np.int64).reshape(count)
+    if ((points < 0) | (points >= (1 << domain_bits))).any():
+        raise CryptoError(
+            f"alpha out of domain [0, 2^{domain_bits}) in {list(alphas)}")
+    out_bytes = 0
+    if values is not None:
+        out_bytes = len(values[0])
+        if out_bytes == 0 or any(len(value) != out_bytes for value in values):
+            raise CryptoError(
+                "values must be non-empty and of one length (or None for "
+                "bit output)")
+
+    # Column 2i is key i's party-0 node, column 2i + 1 its party-1 node.
+    roots = random_seeds(2 * count, rng)
+    seeds = np.ascontiguousarray(roots.T)
+    t_bits = np.tile(np.array([0, 1], dtype=np.uint8), count)
+    cw_seeds = np.empty((domain_bits, count, 4), dtype=np.uint32)
+    cw_t = np.empty((domain_bits, count, 2), dtype=np.uint8)
+
+    for level in range(domain_bits):
+        # keep = the child on alpha's path, lose = its sibling; the
+        # correction words zero the parties' difference on the lost side
+        # and leave exactly one party's control bit set on the kept side.
+        bit = ((points >> (domain_bits - 1 - level)) & 1).astype(np.uint8)
+        children = np.empty((4, 4 * count), dtype=np.uint32)
+        control = expand_into(seeds, children)
+        children = children.reshape(4, count, 2, 2)  # word, key, party, side
+        child_t = np.stack([control & 1, (control >> 1) & 1], axis=-1)
+        child_t = child_t.astype(np.uint8).reshape(count, 2, 2)
+        side = bit.reshape(1, count, 1, 1)
+        keep = np.take_along_axis(children, side, axis=3)[..., 0]
+        lose = np.take_along_axis(children, 1 - side, axis=3)[..., 0]
+        keep_t = np.take_along_axis(child_t, side[0], axis=2)[..., 0]
+
+        seed_cw = lose[:, :, 0] ^ lose[:, :, 1]
+        t_cw = child_t[:, 0] ^ child_t[:, 1] ^ bit[:, None]
+        t_cw[:, 0] ^= 1
+        cw_seeds[level] = seed_cw.T
+        cw_t[level] = t_cw
+
+        t_cw_keep = np.take_along_axis(t_cw, bit[:, None], axis=1)
+        parent_t = t_bits.reshape(count, 2)
+        seeds = keep ^ (seed_cw[:, :, None] & _select_mask(parent_t))
+        seeds = seeds.reshape(4, 2 * count)
+        t_bits = (keep_t ^ (parent_t * t_cw_keep)).reshape(2 * count)
+
+    cw_final = None
+    if out_bytes:
+        shares = convert_seeds(seeds.T, out_bytes).reshape(count, 2, out_bytes)
+        targets = np.frombuffer(b"".join(values), dtype=np.uint8)
+        cw_final = shares[:, 0] ^ shares[:, 1] ^ targets.reshape(count, out_bytes)
+
+    return [
+        tuple(
+            DpfKey(
+                party=party,
+                domain_bits=domain_bits,
+                root_seed=roots[2 * i + party].copy(),
+                cw_seeds=cw_seeds[:, i].copy(),
+                cw_t_left=cw_t[:, i, 0].copy(),
+                cw_t_right=cw_t[:, i, 1].copy(),
+                out_bytes=out_bytes,
+                cw_final=None if cw_final is None else cw_final[i].copy(),
+            )
+            for party in (0, 1)
+        )
+        for i in range(count)
+    ]
+
+
+def gen_dpf(
     alpha: int,
     domain_bits: int,
     value: Optional[bytes] = None,
@@ -165,67 +285,8 @@ def gen_dpf(  # lint: allow(secret-branch) — dealer-side: alpha/beta are the d
     Returns:
         ``(key0, key1)`` — one key per server.
     """
-    if not 1 <= domain_bits <= MAX_DOMAIN_BITS:
-        raise CryptoError(f"domain_bits must be in [1, {MAX_DOMAIN_BITS}]")
-    if not 0 <= alpha < (1 << domain_bits):
-        raise CryptoError(f"alpha {alpha} out of domain [0, 2^{domain_bits})")
-    if value is not None and len(value) == 0:
-        raise CryptoError("value must be non-empty (or None for bit output)")
-
-    seeds = np.stack([random_seed(rng), random_seed(rng)])  # (2, 4)
-    t_bits = np.array([0, 1], dtype=np.uint8)
-
-    cw_seeds = np.empty((domain_bits, 4), dtype=np.uint32)
-    cw_tl = np.empty(domain_bits, dtype=np.uint8)
-    cw_tr = np.empty(domain_bits, dtype=np.uint8)
-    root_seeds = (seeds[0].copy(), seeds[1].copy())
-
-    for level in range(domain_bits):
-        bit = (alpha >> (domain_bits - 1 - level)) & 1
-        left, right, tl, tr = expand_seeds(seeds)
-        keep_seed, lose_seed = (right, left) if bit else (left, right)
-        keep_t = tr if bit else tl
-
-        seed_cw = lose_seed[0] ^ lose_seed[1]
-        tl_cw = np.uint8(tl[0] ^ tl[1] ^ bit ^ 1)
-        tr_cw = np.uint8(tr[0] ^ tr[1] ^ bit)
-        cw_seeds[level] = seed_cw
-        cw_tl[level] = tl_cw
-        cw_tr[level] = tr_cw
-
-        t_cw_keep = tr_cw if bit else tl_cw
-        new_seeds = keep_seed.copy()
-        new_t = keep_t.copy()
-        for b in (0, 1):
-            if t_bits[b]:
-                new_seeds[b] ^= seed_cw
-                new_t[b] ^= t_cw_keep
-        seeds = new_seeds
-        t_bits = new_t
-
-    out_bytes = 0
-    cw_final = None
-    if value is not None:
-        out_bytes = len(value)
-        conv = convert_seeds(seeds, out_bytes)
-        target = np.frombuffer(value, dtype=np.uint8)
-        cw_final = conv[0] ^ conv[1] ^ target
-
-    keys = []
-    for b in (0, 1):
-        keys.append(
-            DpfKey(
-                party=b,
-                domain_bits=domain_bits,
-                root_seed=root_seeds[b],
-                cw_seeds=cw_seeds.copy(),
-                cw_t_left=cw_tl.copy(),
-                cw_t_right=cw_tr.copy(),
-                out_bytes=out_bytes,
-                cw_final=None if cw_final is None else cw_final.copy(),
-            )
-        )
-    return keys[0], keys[1]
+    values = None if value is None else [value]
+    return gen_dpf_batch([alpha], domain_bits, values, rng)[0]
 
 
 def _walk(key: DpfKey, x: int) -> Tuple[np.ndarray, int]:
@@ -264,49 +325,155 @@ def eval_dpf(key: DpfKey, x: int):
     return share.tobytes()
 
 
+def expand_tree(seeds: np.ndarray, t_bits: np.ndarray, cw_seeds: np.ndarray,
+                cw_t_left: np.ndarray, cw_t_right: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand a row of tree nodes ``levels`` levels down — the one level
+    loop behind every full, partial and sub-tree evaluation.
+
+    Nodes are stacked key-major: with ``k`` keys the ``n`` input columns
+    are ``k`` runs of ``n / k`` nodes, one run per key, and each run is
+    corrected with its own key's words (all runs with the same words when
+    ``k == 1``, which is how the sub-trees of one split are ganged). A
+    node's two children take its place, left first, so every run's leaves
+    come out contiguous and in index order, and calling this again on its
+    own output continues the same trees.
+
+    Args:
+        seeds: ``(4, n)`` uint32 node seeds, word-major.
+        t_bits: ``(n,)`` uint8 node control bits.
+        cw_seeds: ``(levels, k, 4)`` uint32 seed correction words.
+        cw_t_left / cw_t_right: ``(levels, k)`` uint8 control-bit
+            corrections.
+
+    Returns:
+        ``(seeds, t_bits)`` of the ``n * 2**levels`` descendants.
+    """
+    levels, keys = cw_seeds.shape[:2]
+    # Both children's control bits travel as one 2-bit value per node.
+    cw_t = (cw_t_left | (cw_t_right << 1)).astype(np.uint8)
+    for level in range(levels):
+        n = seeds.shape[1]
+        children = np.empty((4, 2 * n), dtype=np.uint32)
+        control = expand_into(seeds, children)
+        # Branch-free correction: AND the key's words with an all-ones or
+        # all-zeros mask per node instead of indexing the nodes whose
+        # control bit is set.
+        parent_t = t_bits.reshape(keys, n // keys)
+        correction = cw_seeds[level].T[:, :, None] & _select_mask(parent_t)
+        pairs = children.reshape(4, keys, n // keys, 2)
+        pairs ^= correction[..., None]
+        pair = control.astype(np.uint8) & 3
+        pair ^= (cw_t[level][:, None] * parent_t).reshape(n)
+        seeds = children
+        t_bits = np.empty(2 * n, dtype=np.uint8)
+        t_bits[0::2] = pair & 1
+        t_bits[1::2] = pair >> 1
+    return seeds, t_bits
+
+
+def leaf_output(seeds: np.ndarray, t_bits: np.ndarray, out_bytes: int,
+                cw_final: Optional[np.ndarray], runs: int) -> np.ndarray:
+    """Turn expanded leaves into output shares, one row per run.
+
+    Args:
+        seeds / t_bits: the leaves, as :func:`expand_tree` returns them.
+        out_bytes: 0 for bit output, else the block length.
+        cw_final: ``(k, out_bytes)`` final correction words, ``k`` being 1
+            or ``runs`` (None in bit-output mode).
+        runs: how many equal runs of leaves the columns hold.
+
+    Returns:
+        ``(runs, leaves)`` uint8 share bits, or ``(runs, leaves,
+        out_bytes)`` uint8 XOR value shares.
+    """
+    if out_bytes == 0:
+        return t_bits.reshape(runs, -1)
+    shares = convert_seeds(seeds.T, out_bytes).reshape(runs, -1, out_bytes)
+    mask = np.negative(t_bits).reshape(runs, -1, 1)
+    shares ^= cw_final[:, None, :] & mask
+    return shares
+
+
+def expand_keys(keys: Sequence[DpfKey], first: int, last: int,
+                nodes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand every key's tree from level ``first`` to level ``last``
+    in one pass, each key under its own correction words.
+
+    Args:
+        keys: keys of one domain size.
+        first / last: the level range, ``0 <= first <= last <= d``.
+        nodes: the level-``first`` nodes as an earlier call returned them;
+            None starts from the keys' roots (``first`` must be 0).
+
+    Returns:
+        ``(seeds, t_bits)`` of the level-``last`` nodes, key-major (see
+        :func:`expand_tree`).
+    """
+    if nodes is None:
+        nodes = (np.stack([key.root_seed for key in keys], axis=1),
+                 np.array([key.party for key in keys], dtype=np.uint8))
+
+    def stacked(field: str) -> np.ndarray:
+        return np.stack([getattr(key, field)[first:last] for key in keys],
+                        axis=1)
+
+    return expand_tree(*nodes, stacked("cw_seeds"), stacked("cw_t_left"),
+                       stacked("cw_t_right"))
+
+
+def eval_dpf_full_batch(keys: Sequence[DpfKey]) -> np.ndarray:
+    """Evaluate each key's share at every point of the domain, all keys
+    in one pass over the tree levels.
+
+    This is the server-side operation of §5.1 — a full tree expansion
+    whose cost is linear in the domain size (the "DPF evaluation" part of
+    the 167 ms per-request budget) — amortised over a pipelined batch:
+    the per-level cost is paid once, not once per key.
+
+    Args:
+        keys: keys of one domain size and output length (any parties).
+
+    Returns:
+        Row ``i`` is ``eval_dpf_full(keys[i])``: ``(k, 2**d)`` uint8 share
+        bits, or ``(k, 2**d, out_bytes)`` uint8 XOR value shares.
+    """
+    if not keys:
+        raise CryptoError("need at least one DPF key")
+    head = keys[0]
+    if any((key.domain_bits, key.out_bytes) != (head.domain_bits, head.out_bytes)
+           for key in keys):
+        raise CryptoError("batched keys must share domain and output size")
+    seeds, t_bits = expand_keys(keys, 0, head.domain_bits)
+    cw_final = (np.stack([key.cw_final for key in keys])
+                if head.out_bytes else None)
+    return leaf_output(seeds, t_bits, head.out_bytes, cw_final, len(keys))
+
+
 def eval_dpf_full(key: DpfKey) -> np.ndarray:
     """Evaluate one party's share at every point of the domain.
-
-    This is the server-side operation of §5.1: a full tree expansion whose
-    cost is linear in the domain size (the "DPF evaluation" part of the
-    167 ms per-request budget).
 
     Returns:
         In bit-output mode, a ``(2**d,)`` uint8 array of share bits. In
         block-output mode, a ``(2**d, out_bytes)`` uint8 array of XOR value
         shares.
     """
-    seeds = key.root_seed.reshape(1, 4).copy()
-    t_bits = np.array([key.party], dtype=np.uint8)
-    for level in range(key.domain_bits):
-        left, right, tl, tr = expand_seeds(seeds)
-        mask = t_bits.astype(bool)
-        if mask.any():
-            left[mask] ^= key.cw_seeds[level]
-            right[mask] ^= key.cw_seeds[level]
-            tl[mask] ^= key.cw_t_left[level]
-            tr[mask] ^= key.cw_t_right[level]
-        n = seeds.shape[0]
-        seeds = np.empty((2 * n, 4), dtype=np.uint32)
-        seeds[0::2] = left
-        seeds[1::2] = right
-        t_bits = np.empty(2 * n, dtype=np.uint8)
-        t_bits[0::2] = tl
-        t_bits[1::2] = tr
-    if key.out_bytes == 0:
-        return t_bits
-    shares = convert_seeds(seeds, key.out_bytes)
-    mask = t_bits.astype(bool)
-    shares[mask] ^= key.cw_final
-    return shares
+    return eval_dpf_full_batch([key])[0]
 
 
 __all__ = [
     "DpfKey",
     "gen_dpf",
+    "gen_dpf_batch",
     "eval_dpf",
     "eval_dpf_full",
+    "eval_dpf_full_batch",
+    "expand_keys",
+    "expand_tree",
+    "leaf_output",
     "dpf_key_bits",
+    "key_wire_bytes",
     "LAMBDA_BITS",
     "MAX_DOMAIN_BITS",
 ]

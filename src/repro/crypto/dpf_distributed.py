@@ -21,8 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.crypto.dpf import DpfKey
-from repro.crypto.prg import convert_seeds, expand_seeds
+from repro.crypto.dpf import DpfKey, expand_keys, expand_tree, leaf_output
 from repro.errors import CryptoError
 
 
@@ -91,25 +90,7 @@ def split_dpf_key(key: DpfKey, prefix_bits: int) -> List[SubtreeKey]:
         raise CryptoError(
             f"prefix_bits must be in [0, {key.domain_bits}], got {prefix_bits}"
         )
-    seeds = key.root_seed.reshape(1, 4).copy()
-    t_bits = np.array([key.party], dtype=np.uint8)
-    for level in range(prefix_bits):
-        left, right, tl, tr = expand_seeds(seeds)
-        mask = t_bits.astype(bool)
-        if mask.any():
-            left[mask] ^= key.cw_seeds[level]
-            right[mask] ^= key.cw_seeds[level]
-            tl[mask] ^= key.cw_t_left[level]
-            tr[mask] ^= key.cw_t_right[level]
-        n = seeds.shape[0]
-        new_seeds = np.empty((2 * n, 4), dtype=np.uint32)
-        new_seeds[0::2] = left
-        new_seeds[1::2] = right
-        new_t = np.empty(2 * n, dtype=np.uint8)
-        new_t[0::2] = tl
-        new_t[1::2] = tr
-        seeds = new_seeds
-        t_bits = new_t
+    seeds, t_bits = expand_keys([key], 0, prefix_bits)
 
     remaining = key.domain_bits - prefix_bits
     subkeys = []
@@ -120,7 +101,7 @@ def split_dpf_key(key: DpfKey, prefix_bits: int) -> List[SubtreeKey]:
                 prefix=prefix,
                 prefix_bits=prefix_bits,
                 remaining_bits=remaining,
-                seed=seeds[prefix].copy(),
+                seed=seeds[:, prefix].copy(),
                 t_bit=int(t_bits[prefix]),
                 cw_seeds=key.cw_seeds[prefix_bits:].copy(),
                 cw_t_left=key.cw_t_left[prefix_bits:].copy(),
@@ -160,33 +141,15 @@ def eval_subkeys_batch(subkeys: List[SubtreeKey]) -> np.ndarray:
             head.party, head.remaining_bits, head.out_bytes
         ):
             raise CryptoError("sub-tree keys must come from a single split")
-    seeds = np.stack([s.seed for s in subkeys]).astype(np.uint32)
-    t_bits = np.array([s.t_bit for s in subkeys], dtype=np.uint8)
-    for level in range(head.remaining_bits):
-        left, right, tl, tr = expand_seeds(seeds)
-        mask = t_bits.astype(bool)
-        if mask.any():
-            left[mask] ^= head.cw_seeds[level]
-            right[mask] ^= head.cw_seeds[level]
-            tl[mask] ^= head.cw_t_left[level]
-            tr[mask] ^= head.cw_t_right[level]
-        n = seeds.shape[0]
-        new_seeds = np.empty((2 * n, 4), dtype=np.uint32)
-        new_seeds[0::2] = left
-        new_seeds[1::2] = right
-        new_t = np.empty(2 * n, dtype=np.uint8)
-        new_t[0::2] = tl
-        new_t[1::2] = tr
-        seeds = new_seeds
-        t_bits = new_t
-    # Tree expansion keeps each root's leaves contiguous and in input
-    # order, so reshaping recovers the per-sub-tree rows.
-    if head.out_bytes == 0:
-        return t_bits.reshape(len(subkeys), -1)
-    shares = convert_seeds(seeds, head.out_bytes)
-    mask = t_bits.astype(bool)
-    shares[mask] ^= head.cw_final
-    return shares.reshape(len(subkeys), -1, head.out_bytes)
+    seeds, t_bits = expand_tree(
+        np.stack([s.seed for s in subkeys], axis=1).astype(np.uint32),
+        np.array([s.t_bit for s in subkeys], dtype=np.uint8),
+        head.cw_seeds[:, None],
+        head.cw_t_left[:, None],
+        head.cw_t_right[:, None],
+    )
+    cw_final = None if head.cw_final is None else head.cw_final[None]
+    return leaf_output(seeds, t_bits, head.out_bytes, cw_final, len(subkeys))
 
 
 def eval_subkey_full(subkey: SubtreeKey) -> np.ndarray:
@@ -197,31 +160,7 @@ def eval_subkey_full(subkey: SubtreeKey) -> np.ndarray:
         bits for the leaves under this sub-tree; in block-output mode, a
         ``(2**remaining_bits, out_bytes)`` uint8 array.
     """
-    seeds = subkey.seed.reshape(1, 4).copy()
-    t_bits = np.array([subkey.t_bit], dtype=np.uint8)
-    for level in range(subkey.remaining_bits):
-        left, right, tl, tr = expand_seeds(seeds)
-        mask = t_bits.astype(bool)
-        if mask.any():
-            left[mask] ^= subkey.cw_seeds[level]
-            right[mask] ^= subkey.cw_seeds[level]
-            tl[mask] ^= subkey.cw_t_left[level]
-            tr[mask] ^= subkey.cw_t_right[level]
-        n = seeds.shape[0]
-        new_seeds = np.empty((2 * n, 4), dtype=np.uint32)
-        new_seeds[0::2] = left
-        new_seeds[1::2] = right
-        new_t = np.empty(2 * n, dtype=np.uint8)
-        new_t[0::2] = tl
-        new_t[1::2] = tr
-        seeds = new_seeds
-        t_bits = new_t
-    if subkey.out_bytes == 0:
-        return t_bits
-    shares = convert_seeds(seeds, subkey.out_bytes)
-    mask = t_bits.astype(bool)
-    shares[mask] ^= subkey.cw_final
-    return shares
+    return eval_subkeys_batch([subkey])[0]
 
 
 __all__ = ["SubtreeKey", "split_dpf_key", "eval_subkey_full", "eval_subkeys_batch"]

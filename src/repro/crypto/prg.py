@@ -7,7 +7,9 @@ seeds with a single vectorised ChaCha20 call, which is what keeps full-domain
 evaluation (the server-side linear scan of paper §5.1) fast enough to
 benchmark in Python.
 
-Seeds are represented as ``(n, 4)`` uint32 numpy arrays (128 bits per row).
+Seeds are represented as ``(n, 4)`` uint32 numpy arrays (128 bits per row)
+at the public surface; the DPF level loop keeps them word-major, ``(4, n)``,
+which is one ChaCha state row as it stands (:func:`expand_into`).
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import os
 
 import numpy as np
 
-from repro.crypto.chacha import chacha20_block, chacha20_stream
+from repro.crypto.chacha import CONSTANTS, chacha20_block, chacha20_rows
 from repro.errors import CryptoError
 
 #: Domain-separating nonces: tree expansion vs. leaf value conversion.
 _EXPAND_NONCE = (0x65787061, 0x6E640000, 0x00000001)
 _CONVERT_NONCE = (0x636F6E76, 0x65727400, 0x00000002)
+
+#: State row 3 of every tree expansion: block counter 0, then the nonce.
+_EXPAND_TAIL = np.array((0,) + _EXPAND_NONCE, dtype=np.uint32).reshape(4, 1)
 
 SEED_WORDS = 4
 SEED_BYTES = 16
@@ -29,10 +34,22 @@ SEED_BYTES = 16
 
 def random_seed(rng: np.random.Generator | None = None) -> np.ndarray:
     """Return a fresh random 128-bit seed as a ``(4,)`` uint32 array."""
+    return random_seeds(1, rng)[0]
+
+
+def random_seeds(count: int,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """``count`` fresh seeds as a ``(count, 4)`` uint32 array.
+
+    One draw for the lot; under a seeded ``rng`` the rows equal ``count``
+    successive :func:`random_seed` calls (the generator hands out the same
+    32-bit words in the same order either way).
+    """
     if rng is None:
-        raw = os.urandom(SEED_BYTES)
-        return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
-    return rng.integers(0, 2**32, size=SEED_WORDS, dtype=np.uint32)
+        raw = os.urandom(count * SEED_BYTES)
+        return np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(
+            count, SEED_WORDS)
+    return rng.integers(0, 2**32, size=(count, SEED_WORDS), dtype=np.uint32)
 
 
 def seed_bytes_to_words(raw: bytes) -> np.ndarray:
@@ -50,9 +67,34 @@ def seed_words_to_bytes(words: np.ndarray) -> bytes:
     return words.astype("<u4").tobytes()
 
 
-def _seeds_to_keys(seeds: np.ndarray) -> np.ndarray:
-    """Stretch ``(n, 4)`` seeds to ``(n, 8)`` ChaCha keys by duplication."""
-    return np.concatenate([seeds, seeds], axis=1)
+def _check_seeds(seeds: np.ndarray) -> np.ndarray:
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    if seeds.ndim != 2 or seeds.shape[1] != SEED_WORDS:
+        raise CryptoError(f"seeds must be (n, 4) uint32, got {seeds.shape}")
+    return seeds
+
+
+def expand_into(seeds: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """Expand word-major seeds one tree level down, children in place.
+
+    The seed is both halves of the ChaCha key, so the ``(4, n)`` array is
+    state rows 1 and 2 as it stands; keystream rows 0 and 1 are the two
+    child seeds and land interleaved, which keeps every sub-tree's leaves
+    contiguous and in index order.
+
+    Args:
+        seeds: ``(4, n)`` uint32 parent seeds (word, node).
+        children: ``(4, 2n)`` uint32 output; node ``i``'s left child is
+            column ``2i``, its right child column ``2i + 1``.
+
+    Returns:
+        ``(n,)`` uint32 control words: bit 0 is the left child's control
+        bit, bit 1 the right child's.
+    """
+    control = np.empty((1, seeds.shape[1]), dtype=np.uint32)
+    chacha20_rows((CONSTANTS, seeds, seeds, _EXPAND_TAIL),
+                  (children[:, 0::2], children[:, 1::2], control, None))
+    return control[0]
 
 
 def expand_seeds(seeds: np.ndarray):
@@ -66,18 +108,13 @@ def expand_seeds(seeds: np.ndarray):
         are ``(n, 4)`` child-seed arrays and ``t_left``/``t_right`` are
         ``(n,)`` uint8 arrays of control bits.
     """
-    seeds = np.asarray(seeds, dtype=np.uint32)
-    if seeds.ndim != 2 or seeds.shape[1] != SEED_WORDS:
-        raise CryptoError(f"seeds must be (n, 4) uint32, got {seeds.shape}")
-    n = seeds.shape[0]
-    keys = _seeds_to_keys(seeds)
-    counters = np.zeros(n, dtype=np.uint32)
-    nonces = np.tile(np.array(_EXPAND_NONCE, dtype=np.uint32), (n, 1))
-    block = chacha20_block(keys, counters, nonces)
-    left = block[:, 0:4].copy()
-    right = block[:, 4:8].copy()
-    t_left = (block[:, 8] & 1).astype(np.uint8)
-    t_right = ((block[:, 8] >> 1) & 1).astype(np.uint8)
+    seeds = _check_seeds(seeds)
+    children = np.empty((SEED_WORDS, 2 * seeds.shape[0]), dtype=np.uint32)
+    control = expand_into(seeds.T, children)
+    left = np.ascontiguousarray(children[:, 0::2].T)
+    right = np.ascontiguousarray(children[:, 1::2].T)
+    t_left = (control & 1).astype(np.uint8)
+    t_right = ((control >> 1) & 1).astype(np.uint8)
     return left, right, t_left, t_right
 
 
@@ -94,19 +131,20 @@ def convert_seeds(seeds: np.ndarray, out_bytes: int) -> np.ndarray:
     Returns:
         ``(n, out_bytes)`` uint8 array.
     """
-    seeds = np.asarray(seeds, dtype=np.uint32)
-    if seeds.ndim != 2 or seeds.shape[1] != SEED_WORDS:
-        raise CryptoError(f"seeds must be (n, 4) uint32, got {seeds.shape}")
+    seeds = _check_seeds(seeds)
     if out_bytes <= 0:
         raise CryptoError("out_bytes must be positive")
     n = seeds.shape[0]
     blocks_per_seed = (out_bytes + 63) // 64
-    keys = np.repeat(_seeds_to_keys(seeds), blocks_per_seed, axis=0)
-    counters = np.tile(np.arange(blocks_per_seed, dtype=np.uint32), n)
-    nonces = np.tile(np.array(_CONVERT_NONCE, dtype=np.uint32), (n * blocks_per_seed, 1))
-    block = chacha20_block(keys, counters, nonces)
-    raw = block.astype("<u4").view(np.uint8).reshape(n, blocks_per_seed * 64)
-    return raw[:, :out_bytes].copy()
+    keys = np.repeat(seeds.T, blocks_per_seed, axis=1)
+    tail = np.empty((4, n * blocks_per_seed), dtype=np.uint32)
+    tail[0] = np.tile(np.arange(blocks_per_seed, dtype=np.uint32), n)
+    tail[1:] = np.array(_CONVERT_NONCE, dtype=np.uint32).reshape(3, 1)
+    words = np.empty((4, 4, n * blocks_per_seed), dtype=np.uint32)
+    chacha20_rows((CONSTANTS, keys, keys, tail), words)
+    blocks = np.ascontiguousarray(words.reshape(16, -1).T)
+    raw = blocks.astype("<u4", copy=False).view(np.uint8)
+    return raw.reshape(n, blocks_per_seed * 64)[:, :out_bytes].copy()
 
 
 class Prg:
@@ -164,8 +202,10 @@ def chacha20_stream_range(key: bytes, nonce_words: tuple, first_block: int, last
 __all__ = [
     "Prg",
     "expand_seeds",
+    "expand_into",
     "convert_seeds",
     "random_seed",
+    "random_seeds",
     "seed_bytes_to_words",
     "seed_words_to_bytes",
     "chacha20_stream_range",

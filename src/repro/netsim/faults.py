@@ -145,6 +145,11 @@ class FaultyTransport:
             return
         self._inner.send_frame(payload)
 
+    def send_frames(self, payloads) -> None:
+        """Frame by frame, so every frame of a burst is its own fault op."""
+        for payload in payloads:
+            self.send_frame(payload)
+
     def recv_frame(self) -> bytes:
         while True:
             index = self.recvs

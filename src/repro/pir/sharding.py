@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.dpf import DpfKey
+from repro.crypto.dpf import DpfKey, expand_keys
 from repro.crypto.dpf_distributed import (
     SubtreeKey,
     eval_subkey_full,
@@ -235,10 +235,14 @@ class FrontEnd:
                 raise
         return run
 
-    def _split(self, key_bytes: bytes) -> List[SubtreeKey]:
+    def _parse(self, key_bytes: bytes) -> DpfKey:
         key = DpfKey.from_bytes(key_bytes)
         if key.party != self.party:
             raise CryptoError(f"key for party {key.party} sent to front-end {self.party}")
+        return key
+
+    def _split(self, key_bytes: bytes) -> List[SubtreeKey]:
+        key = self._parse(key_bytes)
         with span("pir2.key_split", shards=1 << self.prefix_bits) as sp:
             subkeys = split_dpf_key(key, self.prefix_bits)
         self.last_split_seconds = sp.elapsed
@@ -295,22 +299,32 @@ class FrontEnd:
         return combined
 
     def answer_batch(self, key_bytes_list: List[bytes]) -> List[bytes]:
-        """Answer many requests with one single-pass scan per shard.
+        """Answer many requests with one DPF pass and one scan per shard.
 
-        Each key's sub-trees are gang-evaluated, the per-key share bits are
-        restacked into one ``(batch, sub_domain)`` selection matrix per
-        shard, and every shard runs exactly one
-        :meth:`~repro.pir.database.BlobDatabase.xor_scan_batch` pass —
-        fanned out through the executor when one is attached.
+        The front-end walks the top of every key's tree in one pass, the
+        fleet's sub-trees — every key's, every shard's — are ganged into
+        one more, and each shard then runs exactly one
+        :meth:`~repro.pir.database.BlobDatabase.xor_scan_batch` pass over
+        its ``(batch, sub_domain)`` selection matrix — fanned out through
+        the executor when one is attached.
         """
         if not key_bytes_list:
             return []
-        per_key_bits = [eval_subkeys_batch(self._split(raw)) for raw in key_bytes_list]
+        keys = [self._parse(raw) for raw in key_bytes_list]
         n_shards = len(self.data_servers)
-        matrices = [
-            np.stack([bits[shard] for bits in per_key_bits])
-            for shard in range(n_shards)
-        ]
+        depth = self.prefix_bits + self.data_servers[0].database.domain_bits
+        if any(key.domain_bits != depth for key in keys):
+            raise CryptoError(
+                f"DPF domain does not match the 2^{depth}-slot deployment")
+        with span("pir2.key_split", shards=n_shards, batch=len(keys)) as sp:
+            roots = expand_keys(keys, 0, self.prefix_bits)
+        self.last_split_seconds = sp.elapsed
+        with span("pir2.gang_eval", shards=n_shards, batch=len(keys)):
+            _seeds, bits = expand_keys(keys, self.prefix_bits, depth, roots)
+        # Leaves are key-major and in index order: each key's run cuts
+        # into the shards' sub-domains in prefix order.
+        matrices = np.ascontiguousarray(
+            bits.reshape(len(keys), n_shards, -1).swapaxes(0, 1))
 
         def scan(shard: int) -> List[bytes]:
             return self.data_servers[shard].answer_bits_batch(matrices[shard])

@@ -30,7 +30,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.dpf import DpfKey, eval_dpf_full, gen_dpf
+from repro.crypto.dpf import (
+    DpfKey,
+    eval_dpf_full,
+    eval_dpf_full_batch,
+    gen_dpf,
+    key_wire_bytes,
+)
 from repro.errors import CryptoError
 from repro.obs.trace import span
 from repro.pir.database import BlobDatabase
@@ -89,13 +95,15 @@ class TwoServerPirServer:
                                 scan_seconds=sp_scan.elapsed)
 
     def answer_batch(self, key_blobs: List[bytes]) -> List[bytes]:
-        """Answer a batch of requests in one database pass (§5.1 batching)."""
+        """Answer a batch of requests with one pass over the DPF tree levels
+        and one pass over the database (§5.1 batching)."""
+        if not key_blobs:
+            return []
         with span("pir2.scan_batch", batch=len(key_blobs)):
             keys = [DpfKey.from_bytes(raw) for raw in key_blobs]
             for key in keys:
                 self._check_key(key)
-            select = np.stack([eval_dpf_full(key) for key in keys])
-            answers = self.database.xor_scan_batch(select)
+            answers = self.database.xor_scan_batch(eval_dpf_full_batch(keys))
         self.requests_served += len(keys)
         return answers
 
@@ -140,8 +148,7 @@ class TwoServerPirClient:
 
     def upload_bytes(self) -> int:
         """Total client upload per request (both keys)."""
-        k0, k1 = gen_dpf(0, self.domain_bits)
-        return len(k0.to_bytes()) + len(k1.to_bytes())
+        return 2 * key_wire_bytes(self.domain_bits)
 
     def download_bytes(self) -> int:
         """Total client download per request (both answers)."""

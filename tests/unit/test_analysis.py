@@ -148,6 +148,46 @@ class TestSecretBranch:
         assert findings == []
 
 
+class TestBatchSourceInventory:
+    """The batch entry points are declared secret sources in the repo's
+    own inventory: a branch on their inputs fires with no override."""
+
+    def test_branch_on_alphas_fires(self):
+        findings = run("""
+            def gen_dpf_batch(alphas, domain_bits, values=None, rng=None):
+                sides = []
+                for alpha in alphas:
+                    if alpha >> (domain_bits - 1):
+                        sides.append("right")
+                    else:
+                        sides.append("left")
+                return sides
+        """, path="src/repro/crypto/dpf.py")
+        assert rules_of(findings) == ["secret-branch"]
+
+    def test_branch_free_twin_is_quiet(self):
+        findings = run("""
+            def gen_dpf_batch(alphas, domain_bits, values=None, rng=None):
+                return [alpha >> (domain_bits - 1) for alpha in alphas]
+        """, path="src/repro/crypto/dpf.py")
+        assert findings == []
+
+    def test_branch_on_burst_slots_and_keys_fires(self):
+        findings = run("""
+            class Pir2ModeClient:
+                def queries_for_slots(self, slots):
+                    return [b"hi" if slot else b"lo" for slot in slots]
+        """, path="src/repro/core/zltp/modes.py")
+        assert rules_of(findings) == ["secret-branch"]
+        findings = run("""
+            class ZltpClient:
+                def get_many(self, keys, deadline_seconds=None):
+                    while keys[0]:
+                        pass
+        """, path="src/repro/core/zltp/client.py")
+        assert rules_of(findings) == ["secret-branch"]
+
+
 class TestSecretCompare:
     def test_fires_on_digest_equality(self):
         findings = run("""

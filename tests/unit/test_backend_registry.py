@@ -254,6 +254,11 @@ class TestToyBackendEndToEnd:
         assert session.mode == "toy-echo"
         assert server.gets_served == 3
         assert server.stats_for("toy-echo").queries == 3
+        # The toy client has no queries_for_slots hook: a multi-key burst
+        # falls back to its per-slot method and still comes back aligned.
+        assert not hasattr(client._mode_client, "queries_for_slots")
+        assert client.get_many(["no-such-key", "nor-this"]) == [None, None]
+        assert server.gets_served == 3 + 2 * client.probes
         client.close()
 
     def test_served_by_default_mode_list(self, toy_backend):

@@ -109,6 +109,16 @@ class TestDeploymentEstimates:
         # Our implementation's key is much smaller.
         assert implementation_key_bytes(22) < 500
 
+    def test_implementation_key_bytes_is_the_wire_layout(self):
+        from repro.crypto.dpf import gen_dpf
+
+        for domain_bits in (1, 10, 22):
+            key0, _key1 = gen_dpf(0, domain_bits)
+            assert implementation_key_bytes(domain_bits) == \
+                len(key0.to_bytes())
+        # Deeper than the dealer goes: still 6 + 16 + 17 per level.
+        assert implementation_key_bytes(40) == 6 + 16 + 17 * 40
+
     def test_zero_shard_spec_clamped_to_one(self):
         # Regression: a duck-typed spec reporting zero shards used to
         # reach math.log2(0) in the key-size term and raise ValueError;

@@ -326,6 +326,43 @@ class TestReconnectingTransport:
         assert transport.retries >= 1
         assert transport.frames_replayed == 2
 
+    def test_burst_is_journaled_frame_by_frame(self):
+        first, second = ScriptedTransport("first"), ScriptedTransport("second")
+        transport = self.make([first, second])
+        transport.mark_established()
+        transport.send_frames([b"req-1", b"req-2", b"req-3"])
+        assert first.sent == [b"req-1", b"req-2", b"req-3"]
+        assert transport.unacked_frames == 3
+        first.replies.append(b"ans-1")
+        assert transport.recv_frame() == b"ans-1"
+        assert transport.unacked_frames == 2
+        # The connection dies with two of the burst unanswered: exactly
+        # those two are replayed, verbatim, and acknowledged one by one.
+        first.fail_recvs = 1
+        second.replies.extend([b"ans-2", b"ans-3"])
+        assert transport.recv_frame() == b"ans-2"
+        assert second.sent == [b"req-2", b"req-3"]
+        assert transport.frames_replayed == 2
+        assert transport.recv_frame() == b"ans-3"
+        assert transport.unacked_frames == 0
+
+    def test_burst_goes_out_as_one_write_when_the_raw_has_one(self):
+        class BurstTransport(ScriptedTransport):
+            def __init__(self):
+                super().__init__()
+                self.bursts = []
+
+            def send_frames(self, payloads):
+                self.bursts.append(list(payloads))
+
+        raw = BurstTransport()
+        transport = self.make([raw])
+        transport.mark_established()
+        transport.send_frames([b"req-1", b"req-2"])
+        transport.send_frame(b"req-3")
+        assert raw.bursts == [[b"req-1", b"req-2"], [b"req-3"]]
+        assert transport.unacked_frames == 3
+
     def test_send_failure_recovers_and_replay_covers_the_frame(self):
         first, second = ScriptedTransport(), ScriptedTransport()
         transport = self.make([first, second])

@@ -12,7 +12,13 @@ from repro.core.zltp import messages as msg
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import StatsTcpServer, ZltpTcpServer, connect_tcp
+from repro.core.zltp.serving import create_tcp_server
+from repro.core.zltp.sockets import (
+    StatsTcpServer,
+    TcpTransport,
+    ZltpTcpServer,
+    connect_tcp,
+)
 from repro.core.zltp.wire import encode_frame
 from repro.errors import TransportError
 from repro.pir.database import BlobDatabase
@@ -157,6 +163,67 @@ class TestServerLifecycle:
         records = client.get_slots(slots)
         assert records == [client.get_slot(slot) for slot in slots]
         client.close()
+
+
+class TestBurstsAndNagle:
+    def test_a_burst_is_one_sendall(self):
+        class FakeSocket:
+            def __init__(self):
+                self.writes = []
+
+            def sendall(self, data):
+                self.writes.append(bytes(data))
+
+        sock = FakeSocket()
+        transport = TcpTransport(sock)
+        transport.send_frames([b"one", b"three", b""])
+        assert sock.writes == [
+            encode_frame(b"one") + encode_frame(b"three") + encode_frame(b"")]
+        assert transport.bytes_sent == len(sock.writes[0])
+        transport.send_frame(b"solo")
+        assert sock.writes[1] == encode_frame(b"solo")
+
+    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
+    def test_nodelay_on_both_ends_of_every_connection(self, kind):
+        listener = create_tcp_server(
+            kind, ZltpServer(build_db(), modes=[MODE_PIR2], party=0,
+                             salt=SALT, probes=2))
+        try:
+            transport = connect_tcp(*listener.address)
+            assert transport._sock.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY)
+            transport.send_frame(msg.encode_message(
+                msg.ClientHello(supported_modes=[MODE_PIR2])))
+            transport.recv_frame()  # the server has the connection now
+            accepted = [getattr(conn, "sock", conn)
+                        for conn in (listener._conns.values()
+                                     if isinstance(listener._conns, dict)
+                                     else listener._conns)]
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+            transport.close()
+        finally:
+            listener.stop()
+
+    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
+    def test_a_pipelined_burst_is_one_scan_pass(self, kind):
+        """The finding this closes: two GETs sent as two writes reached
+        the reactor as two batches of one."""
+        db = build_db()
+        listeners = [create_tcp_server(
+            kind, ZltpServer(db, modes=[MODE_PIR2], party=party, salt=SALT,
+                             probes=2)) for party in (0, 1)]
+        try:
+            client = connect_client(
+                [connect_tcp(*lis.address) for lis in listeners])
+            before = db.scan_passes
+            client.get_slots(list(range(10)))
+            assert db.scan_passes - before == 2  # one per party
+            client.close()
+        finally:
+            for listener in listeners:
+                listener.stop()
 
 
 def http_get(address, path):

@@ -137,3 +137,19 @@ class TestBatchAnswering:
         client = TwoServerPirClient(4, 24)
         s0.answer_batch([client.query(i)[0] for i in range(3)])
         assert s0.requests_served == 3
+
+
+class TestBatchEdgesAndSizes:
+    def test_empty_batch_answers_empty(self):
+        from repro.pir.sharding import ShardedPartyServer
+
+        db = BlobDatabase(6, 16)
+        assert TwoServerPirServer(db, 0).answer_batch([]) == []
+        assert ShardedPartyServer(db, 2, 0).answer_batch([]) == []
+
+    def test_upload_bytes_is_the_wire_size_of_both_keys(self):
+        for domain_bits in (1, 9, 20):
+            client = TwoServerPirClient(domain_bits, 64)
+            key0, key1 = gen_dpf(0, domain_bits)
+            assert client.upload_bytes() == \
+                len(key0.to_bytes()) + len(key1.to_bytes())
