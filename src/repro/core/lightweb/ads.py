@@ -15,7 +15,7 @@ it (``{data0.selected_ad}``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 

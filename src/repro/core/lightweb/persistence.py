@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Dict
 
 import numpy as np
 

@@ -39,6 +39,9 @@ _CHACHA20 = _lib.EVP_chacha20()
 
 #: EVP_EncryptUpdate takes an ``int`` length.
 _MAX_BYTES = 2**31 - 1
+#: A ctypes view of no bytes: ``from_buffer`` gives any writable
+#: buffer's address through it, even an empty one's.
+_BYTES = ctypes.c_char * 0
 
 
 class _Context:
@@ -69,7 +72,12 @@ class _Context:
                 f"cipher input of {size} bytes: need a multiple of "
                 f"{self.block} below 2**31, output of the same size")
         written = _int(0)
-        if (_lib.EVP_EncryptUpdate(self.ptr, dst.ctypes.data,
+        # dst, checked writable above, maps as a zero-length ctypes array:
+        # a quarter of the cost of ndarray.ctypes.data (which builds an
+        # __array_interface__ dict), and empty buffers map too. src may be
+        # read-only (np.frombuffer over bytes), which from_buffer refuses.
+        if (_lib.EVP_EncryptUpdate(self.ptr,
+                                   ctypes.addressof(_BYTES.from_buffer(dst)),
                                    ctypes.byref(written), src.ctypes.data,
                                    size) != 1 or written.value != size):
             raise CryptoError("libcrypto cipher call failed")

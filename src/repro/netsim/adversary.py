@@ -18,7 +18,7 @@ and nothing in the trace distinguishes *which* page was fetched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)

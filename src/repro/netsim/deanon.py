@@ -18,7 +18,7 @@ and linking collapses toward chance. Benchmark A5 runs both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -10,7 +10,8 @@ Python loop — our stand-in for the paper's AVX scan.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -18,16 +19,29 @@ from repro.errors import CapacityError, CryptoError
 
 MAX_DOMAIN_BITS = 30
 
-#: Scans walk storage in blocks of this many bytes; per block and request
-#: the selected rows are gathered and reduced. At 1 MiB the block and its
-#: gathered copy stay in L2 while every request in the batch consumes it,
-#: and each of the two calls runs long enough without the GIL for another
-#: thread to work. Chosen by sweep (2-core reference box, 2 MiB L2 per
-#: core; one scan of 2^11 x 64 KiB, then a batch of 16 over 2^14 x 4 KiB):
+#: A lone request walks storage in blocks of this many bytes: one gather
+#: of the selected rows (about half the block), one reduction and one
+#: ``^=`` per block. A group of ``g`` requests walks blocks of
+#: ``SCAN_BLOCK_BYTES << (g - 1)``, cut into ``2**g - 1`` buckets, so every
+#: gather stays about half of this size whatever the batch (DESIGN.md,
+#: *Block size*). At 1 MiB the gathered copy stays in L2, and each call
+#: runs long enough without the GIL for another thread to work. Chosen by
+#: sweep (2-core reference box, 2 MiB L2 per core; one scan of 2^11 x
+#: 64 KiB, then a batch of 16 over 2^14 x 4 KiB, one request at a time):
 #: 256 KiB -> 12.5 / 48.3 ms, 512 KiB -> 9.3 / 41.1, 1 MiB -> 8.5 / 39.4,
 #: 2 MiB -> 8.9 / 54.1, 4 MiB -> 11.5 / 64.1. Smaller blocks pay the
 #: per-call cost, and a GIL handoff, more often; larger ones spill to DRAM.
 SCAN_BLOCK_BYTES = 1 << 20
+
+#: A batch is answered in groups of at most this many requests, sized to
+#: differ by at most one (10 = 3+3+2+2). Within a block, each row goes to
+#: the bucket named by which members of its group select it, and each
+#: bucket is gathered and reduced once: a group reads ``1 - 2**-g`` of a
+#: block instead of ``g / 2`` blocks. Chosen end to end on ``browse_pir2``
+#: (DESIGN.md, *Which kernel*): a group makes three calls per bucket,
+#: ``3 * (2**g - 1)`` per block, and each call is a GIL handoff between
+#: the two parties. At most 8: a row's pattern is one byte.
+SCAN_GROUP = 3
 
 
 class BlobDatabase:
@@ -218,15 +232,25 @@ class BlobDatabase:
     def xor_scan_batch(self, select_matrix: np.ndarray) -> list:
         """Answer many selection vectors in ONE pass over the database.
 
-        The §5.1 batching optimisation, for real this time: storage is
-        walked block by block exactly once per batch, and while a block is
-        cache-hot every batch row's accumulator consumes it. Memory traffic
-        is therefore amortised across the batch instead of re-streaming the
-        whole database once per request (what a per-row loop — or ``batch``
-        separate :meth:`xor_scan` calls — costs).
+        The §5.1 batching optimisation: storage is walked block by block
+        exactly once per batch, and while a block is cache-hot every
+        request in the batch consumes it. The requests are taken in
+        balanced groups of up to :data:`SCAN_GROUP`. Within a block, a
+        row's bucket is the bit pattern of which group members select it;
+        each non-zero bucket is gathered and reduced once, and a member's
+        share is the XOR of the bucket sums whose pattern has its bit set.
+        A group of ``g`` thus reads ``1 - 2**-g`` of each block rather
+        than ``g / 2`` blocks, and precomputes nothing (unlike a
+        Four-Russians table, ROADMAP item 4).
 
-        Each (block, request) pair is one gather and one reduction, both
-        long enough to run without the GIL (:data:`SCAN_BLOCK_BYTES`).
+        Blocks are the outer loop and groups the inner, so a database
+        larger than the cache still streams from memory once per batch.
+        The walk branches on no share bit: every bucket is gathered and
+        reduced, an empty one to zero, and the bucket sizes go nowhere.
+        A batch of one (what :meth:`xor_scan` runs) makes the calls a
+        lone request always made: one gather, one reduction and one
+        ``^=`` per :data:`SCAN_BLOCK_BYTES` block, and nothing else that
+        runs a numpy loop but the bool copy and the answer's bytes.
 
         Args:
             select_matrix: ``(batch, n_slots)`` array of 0/1 share bits.
@@ -242,14 +266,33 @@ class BlobDatabase:
         self.scan_passes += 1
         self.rows_scanned += self.n_slots
         select = np.ascontiguousarray(select_matrix, dtype=bool)
-        acc = np.zeros((batch, self._words), dtype=np.uint64)
-        rows_per_block = max(1, SCAN_BLOCK_BYTES // (self._words * 8))
-        for start in range(0, self.n_slots, rows_per_block):
-            rows = slice(start, start + rows_per_block)
-            block = self._storage[rows]
-            for b in range(batch):
-                acc[b] ^= np.bitwise_xor.reduce(block[select[b, rows]], axis=0)
-        return [row.astype("<u8").tobytes()[: self.blob_size] for row in acc]
+        groups = _group_plan(batch, SCAN_GROUP)
+        unit = max(1, SCAN_BLOCK_BYTES // (self._words * 8))
+        # A group of `size` walks each block in pieces of
+        # `unit << (size - 1)` rows, so every gather is about half of
+        # SCAN_BLOCK_BYTES; its bucket p sums into row `first + p - 1`.
+        walks = [(first, unit << (size - 1), _bucket_masks(select[requests]))
+                 for requests, first, size, _ in groups]
+        sums = np.zeros((sum((1 << size) - 1 for _, _, size, _ in groups),
+                         self._words), dtype=np.uint64)
+        block_rows = unit << (groups[0][2] - 1)
+        for start in range(0, self.n_slots, block_rows):
+            stop = min(start + block_rows, self.n_slots)
+            for first, step, masks in walks:
+                for piece in range(start, stop, step):
+                    rows = slice(piece, piece + step)
+                    block = self._storage[rows]
+                    for row, mask in enumerate(masks, first):
+                        sums[row] ^= np.bitwise_xor.reduce(block[mask[rows]],
+                                                           axis=0)
+        shares = []
+        for _, _, _, member_rows in groups:
+            for rows in member_rows:
+                share = sums[rows[0]]
+                for row in rows[1:]:
+                    share = share ^ sums[row]
+                shares.append(share.astype("<u8").tobytes()[: self.blob_size])
+        return shares
 
     def xor_scan_batch_per_row(self, select_matrix: np.ndarray) -> list:
         """Per-row reference batch scan: one full database stream per request.
@@ -304,6 +347,49 @@ class BlobDatabase:
         """
         flat = self._storage.astype("<u8").view(np.uint8)
         return flat.reshape(self.n_slots, self._words * 8)[:, : self.blob_size].T.copy()
+
+
+#: Each request's bit in its group's row pattern, as a column, and the
+#: non-zero patterns, as a column: a group has at most eight members.
+_MEMBER_BIT = np.arange(8, dtype=np.uint8)[:, None]
+_PATTERNS = np.arange(1, 256, dtype=np.uint8)[:, None]
+
+
+def _bucket_masks(select: np.ndarray) -> list:
+    """One row mask per non-zero bucket of a group's ``(size, n)`` share
+    bits: bucket p holds the rows whose members' bits spell p. A lone
+    request's one bucket is its own share bits, so it costs no call."""
+    size = len(select)
+    if size == 1:
+        return [select[0]]
+    bits = select.view(np.uint8) << _MEMBER_BIT[:size]
+    pattern = np.bitwise_or.reduce(bits, axis=0)
+    return list(pattern == _PATTERNS[:(1 << size) - 1])
+
+
+@lru_cache(maxsize=64)
+def _group_plan(batch: int, group: int) -> tuple:
+    """How :meth:`BlobDatabase.xor_scan_batch` groups ``batch`` requests.
+
+    Groups hold at most ``group`` requests and differ in size by at most
+    one, largest first. Per group: its requests (a slice), the row of its
+    bucket-1 sum (bucket p's is ``p - 1`` rows on), its size, and per
+    member the sum rows its share XORs (the buckets with its bit set).
+    """
+    n_groups = -(-batch // group)
+    sizes = [batch // n_groups + (g < batch % n_groups)
+             for g in range(n_groups)]
+    groups = []
+    request = first = 0
+    for size in sizes:
+        member_rows = tuple(
+            tuple(first + p - 1 for p in range(1, 1 << size) if p >> j & 1)
+            for j in range(size))
+        groups.append((slice(request, request + size), first, size,
+                       member_rows))
+        request += size
+        first += (1 << size) - 1
+    return tuple(groups)
 
 
 __all__ = ["BlobDatabase"]

@@ -57,7 +57,7 @@ def test_single_server_pir_fetches_exact_slot(case, target_raw, seed):
 
 @settings(max_examples=15, deadline=None)
 @given(small_database(),
-       st.lists(st.integers(min_value=0, max_value=127), min_size=1, max_size=6),
+       st.lists(st.integers(min_value=0, max_value=127), min_size=1, max_size=17),
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=1))
 def test_scan_paths_are_bitwise_identical(case, targets_raw, prefix_raw, party):

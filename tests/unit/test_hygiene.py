@@ -67,7 +67,7 @@ class TestPackageSurface:
 # Code must be used to stay. A ``repro`` module that no entry point
 # imports, or a public top-level function, class or method that only
 # ``tests/`` names, is a finding; each is deleted or listed below with its
-# reason.
+# reason. So is a name a ``repro`` module imports and never reads.
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Trees whose code ships or runs outside the test suite.
@@ -109,9 +109,6 @@ METHOD_ALLOWLIST = {
     "repro.crypto.lwe:LwePirServer.answer_bytes":
         "PROTOCOL.md's wire-size reference: test_singleserver.py::"
         "TestValidationAndSizes::test_payloads_match_the_accounting",
-    "repro.pir.database:BlobDatabase.packed_words":
-        "zero-copy oracle: test_sharding.py::TestShardViews::"
-        "test_every_shard_shares_the_logical_storage (np.shares_memory)",
     "repro.oram.trace:MemoryTrace.addresses":
         "ORAM obliviousness oracle: test_path_oram.py::TestObliviousness and "
         "test_prop_oram.py::test_address_trace_same_for_data_variants",
@@ -234,16 +231,23 @@ def _references(tree, reexports=False):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and not reexports:
             names.update(alias.name for alias in node.names)
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, (ast.arg, ast.AnnAssign)):
-            annotations.append(node.annotation)
-        for annotation in filter(None, annotations):
-            for const in ast.walk(annotation):
-                if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    names |= _references(ast.parse(const.value, mode="eval"))
+        for annotation in _string_annotations(node):
+            names |= _references(annotation)
     return names
+
+
+def _string_annotations(node):
+    """The string annotations (``x: "Optional[int]"``) a definition, an
+    argument or an annotated name carries, parsed."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotation = node.returns
+    elif isinstance(node, (ast.arg, ast.AnnAssign)):
+        annotation = node.annotation
+    else:
+        return
+    for const in ast.walk(annotation) if annotation else ():
+        if isinstance(const, ast.Constant) and isinstance(const.value, str):
+            yield ast.parse(const.value, mode="eval")
 
 
 def unused_symbols(project):
@@ -329,6 +333,55 @@ def unused_methods(project):
         if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not method.name.startswith("_") and _plain_method(method)
         and method.name not in used)
+
+
+def _reads(tree):
+    """Names a module reads: loaded names (not attributes), names inside
+    string annotations, and the entries of ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])):
+            names.update(const.value for const in ast.walk(node.value)
+                         if isinstance(const, ast.Constant))
+        for annotation in _string_annotations(node):
+            names |= _reads(annotation)
+    return names
+
+
+def unused_imports(project):
+    """``module:name`` of each name a ``repro`` module imports and never
+    reads. A package's imports are its re-exports, a name another module
+    imports from this one is a re-export too, an import marked ``# noqa``
+    runs for its side effect (a registry filling itself), and
+    ``__future__`` imports bind nothing."""
+    reexported = {(base, name) for info in project.modules.values()
+                  for base, names in _imports(info) for name in names}
+    found = []
+    for module, info in project.modules.items():
+        if not module.startswith("repro") or info.is_package:
+            continue
+        reads = _reads(info.tree)
+        for node in ast.walk(info.tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names
+                         if alias.name != "*"]
+            else:
+                continue
+            if "# noqa" in info.source.splitlines()[node.lineno - 1]:
+                continue
+            found.extend(f"{module}:{name}" for name in bound
+                         if name not in reads
+                         and (module, name) not in reexported)
+    return sorted(found)
 
 
 def _top_level_names(info):
@@ -499,14 +552,64 @@ _METHOD_RULE_CASES = {
 }
 
 
-def _planted_project(shipped_source, caller_source):
-    """A project of one ``repro`` module and one ``bench`` module."""
+#: ``(shipped source, caller source, findings)`` per clause of the import
+#: rule; the ``package-reexport`` case plants ``repro.toy`` as a package.
+_IMPORT_RULE_CASES = {
+    "unused-import": ("import json\n", "", ["repro.toy:json"]),
+    "unused-from-import": (
+        "from typing import Optional\n", "", ["repro.toy:Optional"]),
+    "unused-alias": ("import numpy as np\n", "", ["repro.toy:np"]),
+    "unused-dotted-import": ("import os.path\n", "", ["repro.toy:os"]),
+    "unused-in-a-function": (
+        "def run():\n    import json\n", "", ["repro.toy:json"]),
+    "attribute-of-the-same-name": (
+        "from dataclasses import field\n"
+        "def run(spec):\n    return spec.field\n", "",
+        ["repro.toy:field"]),
+    "docstring-mention": (
+        "from typing import Optional\n"
+        "def run():\n    \"\"\"Returns an Optional.\"\"\"\n", "",
+        ["repro.toy:Optional"]),
+    "loaded": ("import json\nDUMP = json.dumps\n", "", []),
+    "loaded-alias": ("import numpy as np\nZERO = np.zeros\n", "", []),
+    "loaded-in-a-function": (
+        "def run():\n    import json\n    return json\n", "", []),
+    "annotation": (
+        "from typing import Optional\ndef run(x: Optional[int]): pass\n",
+        "", []),
+    "string-annotation": (
+        "from typing import Optional\ndef run(x: 'Optional[int]'): pass\n",
+        "", []),
+    "string-return-annotation": (
+        "from typing import Optional\ndef run() -> 'Optional[int]': pass\n",
+        "", []),
+    "kept-by-all": (
+        "from repro.other import thing\n__all__ = ['thing']\n", "", []),
+    "kept-by-all-extended": (
+        "from repro.other import thing\n__all__ = []\n__all__ += ['thing']\n",
+        "", []),
+    "package-reexport": ("from repro.other import thing\n", "", []),
+    "imported-from-this-module": (
+        "from repro.other import thing\n",
+        "from repro.toy import thing\n", []),
+    "future-import": ("from __future__ import annotations\n", "", []),
+    "side-effect-import": (
+        "def load():\n    import repro.other  # noqa: F401 (registers)\n",
+        "", []),
+    "import-outside-repro": ("", "import json\n", []),
+}
+
+
+def _planted_project(shipped_source, caller_source, package=False):
+    """A project of one ``repro`` module (or package) and one ``bench``
+    module."""
     project = Project()
-    for name, source in (("repro.toy", shipped_source),
-                         ("bench.toy", caller_source)):
+    for name, source, is_package in (
+            ("repro.toy", shipped_source, package),
+            ("bench.toy", caller_source, False)):
         project.modules[name] = ModuleInfo(
             name=name, path=f"{name}.py", source=source,
-            tree=ast.parse(source), is_package=False)
+            tree=ast.parse(source), is_package=is_package)
     return project
 
 
@@ -542,6 +645,18 @@ class TestReachability:
     def test_method_rule_clause(self, shipped_source, caller_source, expected):
         project = _planted_project(shipped_source, caller_source)
         assert unused_methods(project) == expected
+
+    def test_every_import_is_read(self, shipped):
+        assert unused_imports(shipped) == []
+
+    @pytest.mark.parametrize("shipped_source, caller_source, expected",
+                             _IMPORT_RULE_CASES.values(),
+                             ids=_IMPORT_RULE_CASES.keys())
+    def test_import_rule_clause(self, request, shipped_source, caller_source,
+                                expected):
+        package = request.node.callspec.id == "package-reexport"
+        project = _planted_project(shipped_source, caller_source, package)
+        assert unused_imports(project) == expected
 
     def test_every_allowlist_entry_has_a_reason(self):
         for reason in {**MODULE_ALLOWLIST, **SYMBOL_ALLOWLIST,

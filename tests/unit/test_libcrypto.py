@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.dpf import eval_dpf_full_batch, gen_dpf_batch
-from repro.crypto.libcrypto import Aes128Ecb
+from repro.crypto.libcrypto import Aes128Ecb, chacha20_xor
 from repro.errors import CryptoError
 
 # FIPS-197 Appendix C.1 (AES-128).
@@ -29,6 +29,31 @@ def test_fips197_known_answer():
     assert out.tobytes() == _CIPHER * 3
 
 
+def test_read_only_source_gives_the_same_ciphertext():
+    """A read-only source (``np.frombuffer`` over bytes, which ctypes'
+    ``from_buffer`` refuses) encrypts to the same bytes as a writable
+    copy of it."""
+    data = bytes(range(256)) * 4
+    read_only = np.frombuffer(data, dtype=np.uint64).reshape(8, 16)
+    assert not read_only.flags.writeable
+    from_read_only = np.empty_like(read_only)
+    from_writable = np.empty_like(read_only)
+    aes = Aes128Ecb(_KEY)
+    aes.encrypt(read_only, from_read_only)
+    aes.encrypt(read_only.copy(), from_writable)
+    assert from_read_only.tobytes() == from_writable.tobytes()
+    # The first block, pinned from a run that took both buffers' addresses
+    # through ``ndarray.ctypes.data``.
+    assert from_read_only[0, :2].tobytes() == (
+        bytes.fromhex("0a940bb5416ef045f1c39458c653ea5a"))
+
+
+def test_empty_buffers_encrypt_to_nothing():
+    out = np.empty(0, dtype=np.uint8)
+    Aes128Ecb(_KEY).encrypt(np.frombuffer(b"", dtype=np.uint8), out)
+    assert chacha20_xor(bytes(32), bytes(16), b"") == b""
+
+
 @pytest.mark.parametrize("plain,out", [
     # Not a whole number of blocks.
     (np.zeros(24, dtype=np.uint8), np.empty(24, dtype=np.uint8)),
@@ -40,6 +65,8 @@ def test_fips197_known_answer():
      np.empty((4, 2, 16), dtype=np.uint8)[:, 1]),
     # Sizes that differ.
     (np.zeros(32, dtype=np.uint8), np.empty(16, dtype=np.uint8)),
+    # A read-only output.
+    (np.zeros(16, dtype=np.uint8), np.frombuffer(bytes(16), dtype=np.uint8)),
 ])
 def test_bad_buffers_raise(plain, out):
     with pytest.raises(CryptoError):

@@ -1,13 +1,14 @@
 """The XOR scan kernel: every scan path answers the same bytes.
 
 ``xor_scan_batch`` is the one kernel (``xor_scan`` is its batch of one,
-and the sharded data servers and pool workers call those two);
+and the sharded front-end scans each shard with it);
 ``xor_scan_batch_per_row`` is the independent per-row reference, and a
 fold over the blobs as written is the ground truth. All seeded: blob sizes
-on both sides of the uint64 word and of the scan block, batches 0 to 16,
-random and degenerate selections, and the pinned answer digests (plus
-the two parties' answers recombining to the slot) with the scan cut into
-many small blocks.
+on both sides of the uint64 word and of the scan block, batches 0 to 16
+(every remainder of the batch over the request group, so groups of each
+size, balanced or not), random and degenerate selections, and the pinned
+answer digests (plus the two parties' answers recombining to the slot)
+with the scan cut into many small blocks or held in one.
 """
 
 import json
@@ -29,10 +30,12 @@ from tests.unit.test_dpf_equivalence import (
 #: one full block and a partial one; 65536 B x 2^6 walks four full ones.
 GEOMETRIES = [(1, 6), (7, 6), (8, 6), (1000, 6), (1000, 11), (4096, 6),
               (65536, 6)]
-#: The real block, and one so small that a block is a few rows (or one
-#: row, for the wide blobs) and most databases end on a partial block.
-BLOCK_BYTES = [database_module.SCAN_BLOCK_BYTES, 3000]
-BATCHES = [0, 1, 3, 16]
+#: The real block; one so small that a block is a few rows (or one row,
+#: for the wide blobs) and most databases end on a partial block; and one
+#: so large that one block holds the whole of every geometry (the largest
+#: is 2^6 x 64 KiB) at every group size.
+BLOCK_BYTES = [database_module.SCAN_BLOCK_BYTES, 3000, 1 << 22]
+BATCHES = [0, 1, 2, 3, 4, 5, 7, 10, 16]
 SELECTIONS = ["random", "zeros", "ones", "single", "mixed"]
 
 
