@@ -29,7 +29,6 @@ from repro.core.zltp import messages as msg
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.serving import SERVER_KINDS, create_tcp_server
-from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex

@@ -6,6 +6,8 @@ cryptographic assumption only), and enclave+ORAM (polylog work, hardware
 assumption). This ablation measures all three serving the same blobs.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,47 @@ def test_a1_lwe_get(benchmark, database):
     assert setup_bytes > 10 * len(query)  # the mode's signature trade-off
 
 
+def test_a1_lwe_client_split(benchmark):
+    """pir-lwe's client time per GET at ``fetch_lwe``'s geometry (2^10
+    slots of 512 B, n = 512), split into the offline part,
+    ``prepare_queries``, which a ``ZltpClient`` runs while the previous
+    burst is on the wire, and the online part left on the page's path."""
+    db = BlobDatabase(10, 512)
+    rng = np.random.default_rng(4)
+    for slot in range(db.n_slots):
+        db.set_slot(slot, rng.bytes(512))
+    server = LweModeServer(db)
+    client = LweModeClient(10, 512, server.hello_params(), server.setup(),
+                           rng=np.random.default_rng(5))
+
+    def split(gets=200):
+        times = {"offline": [], "query": [], "decode": []}
+        for slot in rng.integers(0, db.n_slots, gets).tolist():
+            start = time.perf_counter()
+            client.prepare_queries(1)
+            prepared = time.perf_counter()
+            payloads = client.queries_for_slot(slot)
+            queried = time.perf_counter()
+            answers = server.answer_batch(payloads)
+            answered = time.perf_counter()
+            assert client.decode(answers) == db.get_slot(slot)
+            decoded = time.perf_counter()
+            times["offline"].append(prepared - start)
+            times["query"].append(queried - prepared)
+            times["decode"].append(decoded - answered)
+        return {part: float(np.median(t)) * 1e6 for part, t in times.items()}
+
+    us = benchmark.pedantic(split, rounds=1, iterations=1)
+    report("A1c: pir-lwe client time per GET at fetch_lwe's geometry", [
+        ("offline: prepare_queries(1), A·s + e and H·s",
+         f"{us['offline']:.0f} µs"),
+        ("online: query (Δ one-hot, pack)", f"{us['query']:.0f} µs"),
+        ("online: decode (unmask, round)", f"{us['decode']:.0f} µs"),
+    ])
+    # The mat-vecs are the bulk of the client's work, and none is online.
+    assert us["offline"] > us["query"] + us["decode"]
+
+
 def test_a1_enclave_get(benchmark, database):
     server = EnclaveModeServer(database, rng=np.random.default_rng(2))
     client = EnclaveModeClient(server.hello_params())
@@ -101,7 +144,6 @@ def test_a1_enclave_get(benchmark, database):
 def test_a1_work_scaling_contrast(benchmark, database):
     """PIR work grows linearly with the domain; enclave work grows
     logarithmically — the paper's §2.2 performance contrast."""
-    import time
 
     def pir_seconds(bits):
         db = BlobDatabase(bits, 256)

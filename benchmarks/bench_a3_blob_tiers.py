@@ -15,7 +15,6 @@ Two design decisions get measured:
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import report
 from repro.costmodel.datasets import DatasetSpec

@@ -11,8 +11,6 @@ attacks."
 We run the SimAttack-style profile-linking attacker against both designs.
 """
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.netsim.deanon import run_linking_experiment
 

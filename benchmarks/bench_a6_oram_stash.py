@@ -9,7 +9,6 @@ scales with the store.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import report
 from repro.oram.path_oram import PathOram

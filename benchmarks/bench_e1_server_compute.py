@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import report
-from repro.costmodel.estimator import PAPER_SHARD, measure_shard
+from repro.costmodel.estimator import PAPER_SHARD
 from repro.crypto.dpf import eval_dpf_full, gen_dpf
 from repro.pir.database import BlobDatabase
 from repro.pir.twoserver import TwoServerPirServer

@@ -10,7 +10,6 @@ our implementation's true key size alongside, and measure actual on-the-
 wire bytes for a full ZLTP GET.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report

@@ -17,7 +17,6 @@ import pytest
 from benchmarks.conftest import report
 from repro.costmodel.datasets import C4, WIKIPEDIA
 from repro.costmodel.estimator import (
-    PAPER_SHARD,
     estimate_deployment,
     measure_shard,
 )

@@ -12,7 +12,6 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.costmodel.billing import (
-    NYT_HOMEPAGE_BYTES,
     fi_bytes_cost,
     fi_page_cost,
     zltp_vs_fi_ratio,

@@ -16,7 +16,7 @@ from repro.core.lightweb.peering import DomainRegistry
 from repro.core.lightweb.publisher import Publisher
 from repro.core.lightweb.universe import DEFAULT_TIERS
 from repro.core.zltp.modes import MODE_PIR2
-from repro.costmodel.datasets import DatasetSpec, GIB
+from repro.costmodel.datasets import DatasetSpec
 from repro.costmodel.estimator import estimate_deployment
 
 

@@ -227,7 +227,11 @@ class PirBackendClient(Protocol):
     A backend whose query generation amortises across a burst may also
     define ``queries_for_slots(slots) -> List[List[bytes]]`` (one
     ``queries_for_slot`` result per slot, in order); :func:`queries_for_slots`
-    uses it when present and loops ``queries_for_slot`` otherwise.
+    uses it when present and loops ``queries_for_slot`` otherwise. One
+    whose queries have slot-independent work may define
+    ``prepare_queries(count)``; :func:`prepare_queries` calls it once a
+    burst of ``count`` slots is sent, so that work runs while the burst is
+    on the wire instead of in the next burst's path.
     """
 
     def queries_for_slot(self, slot: int) -> List[bytes]:
@@ -245,6 +249,15 @@ def queries_for_slots(client: PirBackendClient,
     if batch is not None:
         return batch(list(slots))
     return [client.queries_for_slot(slot) for slot in slots]
+
+
+def prepare_queries(client: PirBackendClient, count: int) -> None:
+    """Let the backend do ``count`` queries' slot-independent work ahead,
+    through its ``prepare_queries`` hook; a no-op for a backend without
+    one. ``count`` is a burst size, never a slot."""
+    prepare = getattr(client, "prepare_queries", None)
+    if prepare is not None:
+        prepare(count)
 
 
 # --------------------------------------------------------------------------
@@ -577,6 +590,7 @@ __all__ = [
     "PirBackend",
     "PirBackendClient",
     "queries_for_slots",
+    "prepare_queries",
     "BackendCost",
     "ServerContext",
     "BackendSpec",

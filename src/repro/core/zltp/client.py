@@ -41,8 +41,9 @@ class ZltpClientSession:
     Establishment: send :meth:`hello` on every endpoint and hand the
     replies to :meth:`receive_hellos`; while :attr:`connected` is still
     false, send :meth:`setup_request` on endpoint 0 and hand its reply to
-    :meth:`receive_setup`. A burst: :meth:`get_requests`, one
-    :meth:`receive_get` per reply, then :meth:`get_results`.
+    :meth:`receive_setup`. A burst: :meth:`get_requests`, optionally
+    :meth:`prepare_queries` while it is on the wire, one :meth:`receive_get`
+    per reply, then :meth:`get_results`.
     """
 
     def __init__(self, endpoints: int,
@@ -229,6 +230,14 @@ class ZltpClientSession:
             for endpoint in range(self.endpoints)
         ]
 
+    def prepare_queries(self, count: int) -> None:
+        """Let the mode do ``count`` queries' slot-independent work now,
+        between sending a burst of ``count`` slots and reading its replies,
+        so the next burst's queries cost less on its own path. A no-op for
+        a mode without the hook (:func:`repro.core.backend.prepare_queries`)."""
+        self._require_connected()
+        backend_registry.prepare_queries(self._mode_client, count)
+
     def receive_get(self, endpoint: int, frame: bytes) -> None:
         """Take ``endpoint``'s next reply of the burst (request order).
 
@@ -366,6 +375,8 @@ class ZltpClient:
         for transport, burst in zip(self._transports,
                                     session.get_requests(slots)):
             send_burst(transport, burst)
+        # While the server answers: the next burst's slot-independent work.
+        session.prepare_queries(len(slots))
         for endpoint, transport in enumerate(self._transports):
             for _ in slots:
                 if deadline is not None:

@@ -311,6 +311,19 @@ class LweModeClient:
         to ``32 - kq`` bits."""
         return [pack_words(self._core.query(slot), self._query_drop)]
 
+    def queries_for_slots(self, slots: List[int]) -> List[List[bytes]]:
+        """A new burst's queries, one per slot. Masks still in flight are
+        an earlier burst's whose answers never came (the server shed some
+        of it); they are dropped first, so each burst decodes with its own."""
+        self._core.drop_in_flight()
+        return [self.queries_for_slot(slot) for slot in slots]
+
+    def prepare_queries(self, count: int) -> None:
+        """Draw ``count`` queries' secrets and noise and do their ``A·s + e``
+        and ``H·s`` now, while the last burst is on the wire; ``count`` is
+        that burst's public size."""
+        self._core.prepare(count)
+
     def apply_hint_update(self, column: int, delta: np.ndarray) -> None:
         """Fold a ``(column, δ)`` broadcast from ``LweModeServer.update_slot``
         into the hint."""

@@ -19,7 +19,12 @@ the wrap-around of uint32 arithmetic *is* the reduction mod ``q``. The three
 per-query mat-vecs (the client's ``A·s``, the server's ``DB·q`` and the
 client's ``H·s``) are uint32 ``np.einsum`` calls, which numpy runs on its
 vectorised integer loops; a uint64 ``@`` has no such path and took 2.2 to
-2.6 times as long per call (DESIGN.md has the numbers). The hint is one
+2.6 times as long per call (DESIGN.md has the numbers). Two of the three,
+``A·s`` and ``H·s``, depend only on the query's fresh secret, never on the
+column: :meth:`LwePirClient.prepare` runs them ahead, off the page's
+critical path (a ZLTP client does it while the previous burst is on the
+wire), and only ``Δ·e_column`` and the mask's subtraction stay on it. The
+server's ``DB·q`` is the one left on the path. The hint is one
 matrix product, too big for numpy's integer loops (which do not use BLAS),
 so :func:`hint_product` runs it on float64 GEMM, exactly: every partial
 sum of ``DB · A`` (or, past that bound, of ``DB`` times a 16-bit limb of
@@ -39,8 +44,9 @@ post-processing of a ciphertext or an answer; the math here stays exact.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -320,8 +326,27 @@ class LwePirServer:
         return self.db.shape[0] * self.params.n * 4
 
 
+@dataclass
+class _Prepared:
+    """One query's slot-independent part: its fresh secret ``s``, the
+    ciphertext body ``A·s + e`` (None once the query is built) and the
+    decode mask ``H·s``."""
+
+    secret: np.ndarray
+    body: Optional[np.ndarray]
+    mask: np.ndarray
+
+
 class LwePirClient:
-    """A client that can privately fetch any database column."""
+    """A client that can privately fetch any database column.
+
+    Two of a fetch's three mat-vecs, ``A·s`` for the query and ``H·s`` for
+    the decode, depend only on the query's fresh secret, never on the
+    column. :meth:`prepare` does them ahead, into a pool, so a caller can
+    run them while an earlier burst is on the wire; :meth:`query` then
+    only adds ``Δ·e_column`` and :meth:`decode` only subtracts the stored
+    mask.
+    """
 
     def __init__(self, server_a: np.ndarray, hint: np.ndarray, params: LweParams | None = None,
                  rng: np.random.Generator | None = None):
@@ -330,12 +355,19 @@ class LwePirClient:
         self.a_matrix = _zq(server_a)
         self.hint = _zq(hint)
         self._rng = rng if rng is not None else np.random.default_rng()
-        # Secrets queue FIFO so several queries may be in flight; answers
-        # must come back in query order.
-        self._secrets: list = []
+        # Prepared queries, taken oldest first by query().
+        self._pool: List[_Prepared] = []
+        # Sent queries, FIFO so several may be in flight; answers must come
+        # back in query order.
+        self._in_flight: Deque[_Prepared] = deque()
 
     def apply_hint_update(self, column: int, delta: np.ndarray) -> None:
-        """Fold a server-broadcast ``(column, δ)`` update into the hint."""
+        """Fold a server-broadcast ``(column, δ)`` update into the hint.
+
+        The new hint is ``H + δ ⊗ A[column]``, so every prepared or
+        in-flight mask ``H·s`` moves by ``δ·(A[column]·s)`` and decodes as
+        if it had been computed from the new hint.
+        """
         delta = _zq(delta)
         if delta.shape != (self.hint.shape[0],):
             raise CryptoError(
@@ -344,34 +376,62 @@ class LwePirClient:
             )
         if not 0 <= column < self.a_matrix.shape[0]:
             raise CryptoError(f"column {column} out of range")
-        self.hint = self.hint + np.outer(delta, self.a_matrix[column])
+        a_row = self.a_matrix[column]
+        self.hint = self.hint + np.outer(delta, a_row)
+        for entry in (*self._pool, *self._in_flight):
+            entry.mask = entry.mask + delta * np.einsum("j,j->", a_row,
+                                                        entry.secret)
+
+    def prepare(self, count: int) -> None:
+        """Leave exactly ``count`` prepared queries in the pool.
+
+        Each new entry draws its secret and then its noise, the draws
+        :meth:`query` makes when the pool is empty, and computes ``A·s + e``
+        and the mask ``H·s``. Entries past ``count`` (left from a larger
+        burst) are dropped unused, so the pool never holds more than the
+        public count it was last given. Nothing here depends on a column.
+        """
+        while len(self._pool) < count:
+            self._pool.append(self._prepare_one())
+        del self._pool[count:]
+
+    def _prepare_one(self) -> _Prepared:
+        params = self.params
+        secret = _zq(self._rng.integers(0, _Q, size=params.n, dtype=np.uint64))
+        noise = _zq(self._rng.integers(
+            -params.noise_bound, params.noise_bound + 1,
+            size=self.a_matrix.shape[0]))
+        return _Prepared(secret, _matvec(self.a_matrix, secret) + noise,
+                         _matvec(self.hint, secret))
 
     def query(self, column: int) -> np.ndarray:
         """Build an encrypted query for ``column``.
 
-        Returns the query vector to upload. The client remembers the secret
-        for :meth:`decode`; one query at a time (call in lockstep).
+        Takes the oldest prepared query, or prepares one now if the pool is
+        empty, and returns the vector to upload. Its mask waits for
+        :meth:`decode`.
         """
         c = self.a_matrix.shape[0]
         if not 0 <= column < c:
             raise CryptoError(f"column {column} out of range [0, {c})")
-        params = self.params
-        secret = _zq(self._rng.integers(0, _Q, size=params.n, dtype=np.uint64))
-        noise = _zq(self._rng.integers(
-            -params.noise_bound, params.noise_bound + 1, size=c))
-        query = _matvec(self.a_matrix, secret) + noise
+        entry = self._pool.pop(0) if self._pool else self._prepare_one()
+        query, entry.body = entry.body, None
         # Δ goes in as a one-hot over every position, never as a write at
         # the secret index.
-        query += np.uint32(params.delta) * (np.arange(c) == column)
-        self._secrets.append(secret)
+        query += np.uint32(self.params.delta) * (np.arange(c) == column)
+        self._in_flight.append(entry)
         return query
+
+    def drop_in_flight(self) -> None:
+        """Forget every query sent and not yet decoded: its answer is not
+        coming (the server shed it), so no later decode may use its mask."""
+        self._in_flight.clear()
 
     def decode(self, answer: np.ndarray) -> np.ndarray:
         """Recover the queried column (answers decode in query order)."""
-        if not self._secrets:
+        if not self._in_flight:
             raise CryptoError("decode called before query")
-        secret = self._secrets.pop(0)
-        masked = _zq(answer) - _matvec(self.hint, secret)
+        masked = _zq(answer) - self._in_flight.popleft().mask
         # Round Δ-scaled values: nearest multiple of Δ, mod p.
         delta = self.params.delta
         # Work in int64 to express "nearest" around the wraparound cleanly.

@@ -67,7 +67,8 @@ class TestPackageSurface:
 # Code must be used to stay. A ``repro`` module that no entry point
 # imports, or a public top-level function, class or method that only
 # ``tests/`` names, is a finding; each is deleted or listed below with its
-# reason. So is a name a ``repro`` module imports and never reads.
+# reason. So is a name a ``repro``, ``benchmarks`` or ``examples`` module
+# imports and never reads.
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Trees whose code ships or runs outside the test suite.
@@ -353,17 +354,26 @@ def _reads(tree):
     return names
 
 
+#: Script trees held to the import rule besides ``repro``. ``bench/`` is
+#: not: ``bench/ladder.py`` reads names ``bench/adapters.py`` imports as
+#: attributes (``adapters.encode_message``), and the rule counts only a
+#: ``from ... import`` of a name as its re-export, not an attribute read.
+_IMPORT_RULE_DIRS = ("benchmarks", "examples")
+
+
 def unused_imports(project):
-    """``module:name`` of each name a ``repro`` module imports and never
-    reads. A package's imports are its re-exports, a name another module
-    imports from this one is a re-export too, an import marked ``# noqa``
-    runs for its side effect (a registry filling itself), and
-    ``__future__`` imports bind nothing."""
+    """``module:name`` of each name a ``repro``, ``benchmarks`` or
+    ``examples`` module imports and never reads. A package's imports are
+    its re-exports, a name another module imports from this one is a
+    re-export too, an import marked ``# noqa`` runs for its side effect (a
+    registry filling itself), and ``__future__`` imports bind nothing."""
     reexported = {(base, name) for info in project.modules.values()
                   for base, names in _imports(info) for name in names}
     found = []
     for module, info in project.modules.items():
-        if not module.startswith("repro") or info.is_package:
+        checked = (module.startswith("repro")
+                   or Path(info.path).parent.name in _IMPORT_RULE_DIRS)
+        if not checked or info.is_package:
             continue
         reads = _reads(info.tree)
         for node in ast.walk(info.tree):
@@ -656,6 +666,20 @@ class TestReachability:
                                 expected):
         package = request.node.callspec.id == "package-reexport"
         project = _planted_project(shipped_source, caller_source, package)
+        assert unused_imports(project) == expected
+
+    @pytest.mark.parametrize("module, path, expected", [
+        ("benchmarks.toy", "benchmarks/toy.py", ["benchmarks.toy:json"]),
+        ("toy", "examples/toy.py", ["toy:json"]),
+        ("bench.toy", "bench/toy.py", []),
+    ], ids=["benchmarks", "examples", "bench-out-of-scope"])
+    def test_import_rule_covers_scripts(self, module, path, expected):
+        """A ``benchmarks`` or ``examples`` script is held to the rule by
+        its directory (an example has no package name); ``bench/`` is not."""
+        project = Project()
+        project.modules[module] = ModuleInfo(
+            name=module, path=path, source="import json\n",
+            tree=ast.parse("import json\n"), is_package=False)
         assert unused_imports(project) == expected
 
     def test_every_allowlist_entry_has_a_reason(self):

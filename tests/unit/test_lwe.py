@@ -277,6 +277,88 @@ class TestQueryOneHot:
             assert got.astype("<u8").tobytes() == expected.astype("<u8").tobytes()
 
 
+class TestPreparedPool:
+    """``prepare`` does a query's secret-only work ahead; what ``query``
+    and ``decode`` then produce is what they produced doing it all
+    themselves: the reference formulas over the same draws."""
+
+    def mirrored(self, n=64, rows=16, cols=32, seed=12):
+        rng = np.random.default_rng(seed)
+        params = LweParams(n=n)
+        db = rng.integers(0, params.p, size=(rows, cols), dtype=np.uint64)
+        server = LwePirServer(db, params=params)
+        client = LwePirClient(server.a_matrix, server.hint(), params=params,
+                              rng=np.random.default_rng(seed + 1))
+        return db, server, client, np.random.default_rng(seed + 1)
+
+    def test_prepared_queries_use_the_draws_in_order(self):
+        db, server, client, mirror = self.mirrored()
+        client.prepare(3)
+        columns = (4, 31, 4, 0)
+        secrets, queries = [], []
+        for column in columns:
+            secret, expected = reference_query(server.a_matrix, column,
+                                               client.params, mirror)
+            query = client.query(column)
+            assert np.array_equal(query, expected)
+            secrets.append(secret)
+            queries.append(query)
+        # prepare(k) then k pipelined queries (and one past the pool)
+        # decode in order.
+        for column, secret, query in zip(columns, secrets, queries):
+            answer = server.answer(query)
+            got = client.decode(answer)
+            assert np.array_equal(got, reference_decode(
+                server.hint(), secret, answer, client.params))
+            assert np.array_equal(got, db[:, column])
+
+    def test_pool_keeps_only_the_last_count(self):
+        """prepare(1) after prepare(3) drops the two newest entries
+        unused: the next query past the pool takes the fourth draw."""
+        _, server, client, mirror = self.mirrored()
+        client.prepare(3)
+        client.prepare(1)
+        draws = [reference_query(server.a_matrix, 5, client.params, mirror)
+                 for _ in range(4)]
+        assert np.array_equal(client.query(5), draws[0][1])
+        assert np.array_equal(client.query(5), draws[3][1])
+
+    @pytest.mark.parametrize("when", ["before-query", "before-decode"])
+    def test_hint_update_decodes_to_the_reference(self, when):
+        """A hint update between prepare and query, or between query and
+        decode, moves the stored mask to the new ``H·s``: decoding gives
+        the bytes of unmasking with the new hint."""
+        db, server, client, mirror = self.mirrored()
+        client.prepare(2)
+        column, moved = 7, 19
+        new_values = (db[:, moved] + 1) % client.params.p
+        if when == "before-query":
+            client.apply_hint_update(*server.update_column(moved, new_values))
+        secret, expected = reference_query(server.a_matrix, moved,
+                                           client.params, mirror)
+        query = client.query(moved)
+        assert np.array_equal(query, expected)
+        if when == "before-decode":
+            client.apply_hint_update(*server.update_column(moved, new_values))
+        answer = server.answer(query)
+        got = client.decode(answer)
+        assert np.array_equal(got, reference_decode(
+            client.hint, secret, answer, client.params))
+        assert np.array_equal(got, new_values)
+        # The second pooled query moved too.
+        got = client.decode(server.answer(client.query(column)))
+        assert np.array_equal(got, db[:, column])
+
+    def test_dropped_in_flight_masks_are_not_decoded(self):
+        db, server, client, _ = self.mirrored()
+        client.query(1)
+        client.drop_in_flight()
+        with pytest.raises(CryptoError, match="before query"):
+            client.decode(np.zeros(16, dtype=np.uint32))
+        got = client.decode(server.answer(client.query(2)))
+        assert np.array_equal(got, db[:, 2])
+
+
 class TestPublicMatrix:
     def test_the_seeded_uint64_draw_cast_to_uint32(self):
         """A seed names the matrix the server always drew: the same values

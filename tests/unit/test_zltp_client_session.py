@@ -5,7 +5,13 @@ import pytest
 
 from repro.core.zltp import messages as msg
 from repro.core.zltp.client import ZltpClientSession
-from repro.core.zltp.modes import MODE_ENCLAVE, MODE_PIR2, MODE_PIR_LWE
+from repro.core.zltp.modes import (
+    MODE_ENCLAVE,
+    MODE_PIR2,
+    MODE_PIR_LWE,
+    LweModeServer,
+)
+from repro.crypto.lwe import LweParams
 from repro.errors import (
     CryptoError,
     NegotiationError,
@@ -13,6 +19,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.pir.codec import pack_u32
+from repro.pir.database import BlobDatabase
 
 SALT = b"client-session"
 BLOB = 16
@@ -40,6 +47,40 @@ def connected_session():
     assert session.receive_hellos([server_hello(0), server_hello(1)]) == [0, 1]
     assert session.connected
     return session
+
+
+def blob(slot):
+    return f"value-{slot}".encode().ljust(BLOB, b"\0")
+
+
+def lwe_session():
+    """An ``LweModeServer`` over 2^6 x 16 B and a pir-lwe client session
+    set up from its own hello and set-up payloads."""
+    db = BlobDatabase(6, BLOB)
+    for slot in range(db.n_slots):
+        db.set_slot(slot, blob(slot))
+    server = LweModeServer(db, params=LweParams(n=64))
+    session = ZltpClientSession(1, supported_modes=[MODE_PIR_LWE],
+                                rng=np.random.default_rng(8))
+    session.receive_hellos([msg.encode_message(msg.ServerHello(
+        blob_size=BLOB, domain_bits=6, mode=MODE_PIR_LWE, salt=SALT,
+        mode_params=server.hello_params()))])
+    session.receive_setup(msg.encode_message(
+        msg.SetupResponse(params=server.setup())))
+    return server, session
+
+
+def lwe_reply(server, frame):
+    request = msg.decode_message(frame)
+    (payload,) = server.answer_batch([request.payload])
+    return msg.encode_message(
+        msg.GetResponse(request_id=request.request_id, payload=payload))
+
+
+def lwe_burst(server, session, slots):
+    for frame in session.get_requests(slots)[0]:
+        session.receive_get(0, lwe_reply(server, frame))
+    return session.get_results()
 
 
 class TestHandshake:
@@ -231,6 +272,21 @@ class TestBurst:
         session.receive_get(0, response(2, 1))
         session.receive_get(1, response(2, 3))
         assert session.get_results() == [bytes([2]) * BLOB]
+
+    @pytest.mark.parametrize("shed", [[0, 1], [1]], ids=["fully", "partly"])
+    def test_lwe_decodes_after_a_shed_burst(self, shed):
+        """A shed burst's masks are never decoded; the bursts after it
+        still decode with their own, not with the shed burst's."""
+        server, session = lwe_session()
+        assert lwe_burst(server, session, [3]) == [blob(3)]
+        bursts = session.get_requests([5, 9])
+        for index, frame in enumerate(bursts[0]):
+            reply = overload() if index in shed else lwe_reply(server, frame)
+            session.receive_get(0, reply)
+        with pytest.raises(OverloadError, match=f"shed {len(shed)} of 2"):
+            session.get_results()
+        assert lwe_burst(server, session, [7]) == [blob(7)]
+        assert lwe_burst(server, session, [60, 2]) == [blob(60), blob(2)]
 
     def test_other_error_reply_raises_at_once(self):
         session = connected_session()
