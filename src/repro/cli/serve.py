@@ -36,7 +36,7 @@ from repro.obs.logs import (
     configure_json_logging,
     get_logger,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import merge_into
 
 _log = get_logger(__name__)
 
@@ -164,9 +164,12 @@ class RunningDeployment:
         return seen
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Deployment-wide serving counters plus the process registry's
-        metrics snapshot."""
+        """Deployment-wide serving counters plus the logical servers'
+        metrics snapshots, folded into one."""
         merged = self.cdn.stats_by_mode(self.universe_name)
+        metrics: Dict[str, Any] = {}
+        for server in self._logical_servers():
+            merge_into(metrics, server.stats_snapshot()["metrics"])
         return {
             "universe": self.universe_name,
             "sessions_opened": sum(server.sessions_opened
@@ -174,7 +177,7 @@ class RunningDeployment:
             "gets_served": self.cdn.total_gets(self.universe_name),
             "modes": {mode: stats.as_dict()
                       for mode, stats in sorted(merged.items())},
-            "metrics": REGISTRY.snapshot(),
+            "metrics": metrics,
         }
 
     def traces_snapshot(self) -> Dict[str, Any]:

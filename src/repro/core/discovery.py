@@ -66,11 +66,6 @@ from repro.core.zltp.eventloop import Reactor
 from repro.core.zltp.wire import HEADER_BYTES, FrameDecoder, encode_frame
 from repro.errors import DiscoveryError, TransportError
 from repro.obs.logs import get_logger
-from repro.obs.metrics import (
-    record_announce,
-    record_rediscovery,
-    record_resolve,
-)
 from repro.obs.trace import span
 
 _log = get_logger(__name__)
@@ -334,7 +329,6 @@ class InProcessDirectory:
                 generation (an old announcer racing a newer one).
         """
         if not record.verify(self._secret):
-            record_announce("rejected")
             raise DiscoveryError(
                 f"announce for {record.server_id!r} failed signature check")
         expires = (None if record.ttl_seconds is None
@@ -343,13 +337,11 @@ class InProcessDirectory:
             existing = self._records.get(record.server_id)
             if existing is not None and \
                     existing[0].generation > record.generation:
-                record_announce("stale")
                 raise DiscoveryError(
                     f"announce for {record.server_id!r} has stale generation "
                     f"{record.generation} < {existing[0].generation}")
             self._records[record.server_id] = (record, expires)
             self.announces += 1
-        record_announce("ok")
 
     def withdraw(self, server_id: str) -> bool:
         """Drop a record; returns whether it existed."""
@@ -619,7 +611,6 @@ class CachingResolver:
             except TransportError as exc:
                 records = self._cached(query)
                 if records is None:
-                    record_resolve("failed")
                     raise TransportError(
                         f"directory unreachable and no cached records for "
                         f"{query.key()}: {exc}") from exc
@@ -632,7 +623,6 @@ class CachingResolver:
                 with self._lock:
                     self._cache[query.key()] = (list(records), self._clock())
             sp.annotate(source=source, records=len(records))
-        record_resolve(source, seconds=sp.elapsed)
         return records
 
     def _cached(self, query: CapabilityQuery) -> Optional[List[AnnounceRecord]]:
@@ -783,7 +773,6 @@ def resolved_pool(resolver: Any, query: CapabilityQuery,
             return []  # directory and cache both gone: pool reports its own error
         if not found:
             return []
-        record_rediscovery()
         _log.info("pool re-resolved via directory", extra={
             "pool": pool_name, "candidates": len(found)})
         return build_dials(found)

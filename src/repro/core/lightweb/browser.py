@@ -41,7 +41,6 @@ from repro.core.lightweb.lightscript import LightscriptProgram
 from repro.core.lightweb.paths import parse_path, split_query
 from repro.core.lightweb.storage import LocalStorage
 from repro.errors import AccessError, PathError, ProtocolError, TransportError
-from repro.obs.metrics import record_failover, record_retry
 
 _LINK_RE = re.compile(r"\[\[([^\]|]+)(?:\|([^\]]*))?\]\]")
 
@@ -161,7 +160,6 @@ class LightwebBrowser:
             except (TransportError, ProtocolError):
                 continue
             self.failovers += 1
-            record_failover("browser")
             return True
         return False
 
@@ -199,7 +197,6 @@ class LightwebBrowser:
         except TransportError:
             if not self._failover():
                 raise
-            record_retry("browser")
             return self._visit_once(path)
 
     def _visit_once(self, path: str) -> RenderedPage:

@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.errors import DeadlineError, TransportError
 from repro.obs.logs import get_logger
-from repro.obs.metrics import record_failover, record_reconnect, record_retry
 from repro.obs.trace import span
 
 _log = get_logger(__name__)
@@ -208,7 +207,6 @@ class EndpointPool:
                 continue
             if index != self._index:
                 self.failovers += 1
-                record_failover("transport")
                 _log.info("endpoint failover", extra={
                     "pool": self.name, "endpoint": index})
             self._index = index
@@ -240,7 +238,6 @@ class EndpointPool:
                 raise
             self.refreshes += 1
             self.failovers += 1
-            record_failover("discovery")
             _log.info("pool exhausted; candidates refreshed via discovery",
                       extra={"pool": self.name,
                              "candidates": len(replacements)})
@@ -360,7 +357,6 @@ class ReconnectingTransport:
                 break
             self._policy.wait(delay, deadline)
             self.retries += 1
-            record_retry("transport")
             try:
                 return self._dial()
             except TransportError as exc:
@@ -476,21 +472,17 @@ class ReconnectingTransport:
         # The failed operation is being re-attempted: even an immediately
         # successful reconnect counts as one retry.
         self.retries += 1
-        record_retry("transport")
         if self._attempt_reconnect():
             return
         for delay in self._policy.delays():
             if deadline is not None and deadline.expired:
-                record_reconnect("deadline")
                 raise DeadlineError(
                     f"deadline expired reconnecting {self.name!r}"
                 ) from last
             self._policy.wait(delay, deadline)
             self.retries += 1
-            record_retry("transport")
             if self._attempt_reconnect():
                 return
-        record_reconnect("failed")
         raise TransportError(
             f"could not re-establish {self.name!r} after "
             f"{self._policy.max_attempts} retries: {last}"
@@ -519,7 +511,6 @@ class ReconnectingTransport:
         self._raw = raw
         self.reconnects += 1
         self.frames_replayed += len(self._unacked)
-        record_reconnect("ok")
         _log.info("transport re-established", extra={
             "transport": self.name, "replayed": len(self._unacked)})
         return True

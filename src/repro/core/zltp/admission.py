@@ -45,16 +45,19 @@ Whichever regime the server is in, one of the two is tight, so the
 
 Both inputs are aggregate load statistics, never per-client or
 per-request content, so the decision leaks nothing about what anyone is
-fetching (the same zero-leakage discipline as the metrics registry). The
+fetching (the same zero-leakage discipline as every exported metric). The
 gate hangs off :class:`~repro.core.zltp.server.ZltpServer` and is checked
 inside :class:`~repro.core.zltp.server.ZltpServerSession` — the state
 machine both serving kinds (eventloop and threaded) share — so one
 controller covers every transport.
 
-Outcomes are exported through the ``admission_*`` metrics and the
-server's :meth:`~repro.core.zltp.server.ZltpServer.capability_snapshot`
-load dict, so discovery ranking (:func:`repro.core.discovery.rank_records`)
-routes new sessions around saturated servers.
+The gate counts its own outcomes (:attr:`AdmissionController.admitted`,
+:attr:`AdmissionController.shed`). The server's stats scrape renders
+them, with the queue depth, as the ``admission_*`` metrics, and its
+:meth:`~repro.core.zltp.server.ZltpServer.capability_snapshot` load dict
+carries depth and sheds to discovery ranking
+(:func:`repro.core.discovery.rank_records`), which routes new sessions
+around saturated servers.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
-from repro.obs.metrics import record_admission, record_admission_queue_depth
 
 
 class AdmissionController:
@@ -152,12 +154,6 @@ class AdmissionController:
                 self._in_flight = depth_after
                 self.admitted += n
                 detail = None
-            depth = self._in_flight
-        if detail is None:
-            record_admission("admitted", n)
-        else:
-            record_admission("shed", n)
-        record_admission_queue_depth(depth)
         return detail
 
     def release(self, n: int = 1,
@@ -191,8 +187,6 @@ class AdmissionController:
                 else:
                     self._service_ewma += self.ewma_alpha * \
                         (per_query - self._service_ewma)
-            depth = self._in_flight
-        record_admission_queue_depth(depth)
 
     def load_snapshot(self) -> Dict[str, float]:
         """Aggregate load keys for the announce record's ``load`` dict.

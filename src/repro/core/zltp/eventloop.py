@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.sockets import set_nodelay
 from repro.obs.logs import get_logger
-from repro.obs.metrics import record_active_sessions
 
 _RECV_CHUNK = 65536
 
@@ -79,9 +78,6 @@ class Reactor:
         idle_timeout: seconds of inactivity before a session is reaped
             (None = never).
     """
-
-    #: Label on the live-session gauge; None records nothing.
-    kind: Optional[str] = None
 
     def __init__(self, session_factory: Callable[[], Any],
                  host: str = "127.0.0.1", port: int = 0,
@@ -203,7 +199,6 @@ class Reactor:
             conn = _Connection(sock, self._session_factory(),
                                time.monotonic())
             self._conns[sock.fileno()] = conn
-            self._react_count()
             try:
                 self._selector.register(sock, selectors.EVENT_READ, data=conn)
             except (ValueError, KeyError, OSError):
@@ -292,11 +287,6 @@ class Reactor:
             conn.sock.close()
         except OSError:
             pass
-        self._react_count()
-
-    def _react_count(self) -> None:
-        if self.kind is not None:
-            record_active_sessions(self.kind, len(self._conns))
 
     def _react_shutdown(self) -> None:
         """Reactor exit path: tear everything down before the thread dies."""
@@ -331,9 +321,6 @@ class ZltpEventLoopServer(Reactor):
     Attributes:
         server: the logical :class:`ZltpServer` being exposed.
     """
-
-    #: Name in ``SERVER_KINDS``; also the ``server`` label on the session gauge.
-    kind = "eventloop"
 
     def __init__(self, server: ZltpServer, host: str = "127.0.0.1",
                  port: int = 0, idle_timeout: Optional[float] = None):

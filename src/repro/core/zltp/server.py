@@ -49,11 +49,7 @@ from repro.errors import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.logs import get_logger
-from repro.obs.metrics import (
-    REGISTRY,
-    record_request_stats,
-    record_truncated_frame,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.pir.database import BlobDatabase
 
@@ -151,7 +147,6 @@ class ZltpServer:
     def _note_truncated_frame(self) -> None:
         with self._stats_lock:
             self.truncated_frames += 1
-        record_truncated_frame()
 
     def _note_idle_reaped(self) -> None:
         with self._stats_lock:
@@ -203,36 +198,36 @@ class ZltpServer:
         }
 
     def stats_snapshot(self) -> Dict[str, Any]:
-        """JSON-ready serving counters plus the metrics snapshot.
+        """JSON-ready serving counters plus their metrics snapshot.
 
-        This is what a listener's stats sidecar serves. ``modes`` is this
-        logical server's own per-mode accounting; the ``metrics`` key is
-        the process registry, which every logical server in the process
-        shares.
+        This is what a listener's stats sidecar serves. Every number is
+        this logical server's own, read once; ``metrics`` renders those
+        same numbers as a fresh registry snapshot (:func:`_stats_metrics`),
+        so a neighbour in the same process never shows up in it.
         """
-        return {
-            "sessions_opened": self.sessions_opened,
-            "gets_served": self.gets_served,
-            "modes": {
-                mode: stats.as_dict()
-                for mode, stats in sorted(self.stats_by_mode().items())
-            },
-            "metrics": REGISTRY.snapshot(),
-        }
+        with self._stats_lock:
+            stats = {
+                "sessions_opened": self.sessions_opened,
+                "sessions_active": self.sessions_opened - self.sessions_closed,
+                "truncated_frames": self.truncated_frames,
+                "idle_reaped": self.idle_reaped,
+                "gets_served": sum(s.queries
+                                   for s in self._stats_by_mode.values()),
+                "modes": {mode: s.as_dict() for mode, s
+                          in sorted(self._stats_by_mode.items())},
+            }
+        if self.admission is not None:
+            stats["admission"] = self.admission.snapshot()
+        stats["metrics"] = _stats_metrics(stats)
+        return stats
 
     def record_stats(self, mode: str, delta: RequestStats) -> None:
-        """Fold one session's answer-call delta into the per-mode totals.
-
-        The same delta is folded into the process-wide metrics registry,
-        so :meth:`stats_by_mode`, ``lightweb stats``, and benchmark JSON
-        all see exactly the counters the protocol layer measured — one
-        structure end to end.
-        """
+        """Fold one session's answer-call delta into the per-mode totals,
+        the one place a served GET is counted."""
         with self._stats_lock:
             if mode not in self._stats_by_mode:
                 self._stats_by_mode[mode] = RequestStats()
             self._stats_by_mode[mode].merge(delta)
-        record_request_stats(mode, delta)
 
     def mode_server(self, mode: str):
         """Get (building lazily) the server half of a mode.
@@ -262,6 +257,55 @@ class ZltpServer:
         with self._stats_lock:
             self.sessions_opened += 1
         return ZltpServerSession(self)
+
+
+#: (RequestStats field, counter name, help) of each per-mode series.
+_MODE_SERIES = (
+    ("queries", "zltp_queries_total", "PIR queries answered, by backend mode"),
+    ("bytes_up", "zltp_bytes_up_total",
+     "Request payload bytes received, by mode"),
+    ("bytes_down", "zltp_bytes_down_total",
+     "Answer payload bytes sent, by mode"),
+    ("scan_seconds", "zltp_scan_seconds_total",
+     "Server-side answer wall time, by mode"),
+    ("retries", "zltp_retries_total",
+     "Shard scans retried while answering, by mode"),
+)
+
+
+def _stats_metrics(stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The metrics snapshot of one :meth:`ZltpServer.stats_snapshot`.
+
+    Built at scrape time from the snapshot's own fields, so every series
+    equals a number the server already holds: per-mode queries, bytes,
+    answer seconds and retries, the live session gauge, truncated frames,
+    idle reaps and, when a gate is attached, its admission tallies.
+    Labels are public structure only (a wire mode name, a fixed outcome).
+    """
+    registry = MetricsRegistry()
+    for mode, counts in stats["modes"].items():
+        for field, name, help in _MODE_SERIES:
+            registry.counter(name, help).inc(counts[field], mode=mode)
+    registry.gauge("zltp_active_sessions", "Live ZLTP sessions").set(
+        stats["sessions_active"])
+    registry.counter(
+        "zltp_truncated_frames_total",
+        "Connections that closed with a partial frame buffered",
+    ).inc(stats["truncated_frames"])
+    registry.counter(
+        "zltp_idle_reaped_total", "Sessions closed by the idle timeout",
+    ).inc(stats["idle_reaped"])
+    gate = stats.get("admission")
+    if gate is not None:
+        requests = registry.counter(
+            "admission_requests_total",
+            "Queries through the admission gate, by outcome")
+        requests.inc(gate["admitted"], outcome="admitted")
+        requests.inc(gate["shed"], outcome="shed")
+        registry.gauge(
+            "admission_queue_depth", "Queries admitted and not yet finished",
+        ).set(gate["queue_depth"])
+    return registry.snapshot()
 
 
 class ZltpServerSession:

@@ -4,8 +4,9 @@ Three pieces, one discipline:
 
 * :mod:`repro.obs.trace` — ``with span("pir2.shard_scan", shard=i):``
   nested trace spans, exportable as JSON.
-* :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms in
-  a process-wide :data:`REGISTRY`, exposed by ``lightweb stats``.
+* :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms
+  and their mergeable snapshots; a server fills a fresh registry from
+  its own counters at scrape time (``lightweb stats``).
 * :mod:`repro.obs.logs` — module loggers and JSON-lines log output.
 * :mod:`repro.obs.flight` — bounded flight recorder of completed request
   trace trees, served at ``/debug/traces.json``.
@@ -29,17 +30,11 @@ from repro.obs.logs import (
 )
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
-    REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     merge_into,
-    record_failover,
-    record_fanout,
-    record_reconnect,
-    record_request_stats,
-    record_retry,
     relabel_snapshot,
     render_snapshot_text,
     snapshot_total,
@@ -66,17 +61,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "REGISTRY",
     "DEFAULT_SECONDS_BUCKETS",
     "merge_into",
     "relabel_snapshot",
     "render_snapshot_text",
     "snapshot_total",
-    "record_request_stats",
-    "record_fanout",
-    "record_retry",
-    "record_reconnect",
-    "record_failover",
     "get_logger",
     "configure_json_logging",
     "configure_console_logging",

@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import TransportError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import (
-    REGISTRY,
     merge_into,
     relabel_snapshot,
     render_snapshot_text,
@@ -158,13 +157,7 @@ class StatsSession:
             if key == "metrics":
                 continue
             lines.append(f"# {key}: {json.dumps(value)}")
-        # Render the snapshot's own metrics, falling back to the process
-        # registry for snapshot callables that carry no metrics key.
-        metrics = snap.get("metrics")
-        if metrics is not None:
-            text = render_snapshot_text(metrics)
-        else:
-            text = REGISTRY.render_text()
+        text = render_snapshot_text(snap.get("metrics", {}))
         return "\n".join(lines) + ("\n" if lines else "") + text
 
 
@@ -382,9 +375,7 @@ def render_fleet(fleet: FleetSnapshot, metrics_text: bool = False) -> str:
 
     Each row reads its server's own scrape: sessions opened, GETs served
     and SCAN-S, the answer seconds summed over the server's modes
-    (``stats["modes"][*]["scan_seconds"]``). Those are per logical
-    server, so they stay right when several servers share one process's
-    metrics registry. The footer totals the rows.
+    (``stats["modes"][*]["scan_seconds"]``). The footer totals the rows.
 
     Args:
         fleet: the scrape to render.

@@ -1,11 +1,14 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics: counters, gauges, fixed-bucket histograms, and snapshots.
 
-One process-wide :data:`REGISTRY` collects the repo's operational
-numbers — queries served per mode, bytes up/down, scan-engine fan-outs,
-scan-latency distributions — and snapshots them as JSON
-(:meth:`MetricsRegistry.as_dict`) or a Prometheus-style text exposition
-(:meth:`MetricsRegistry.render_text`) for the ``lightweb stats``
-subcommand and the TCP stats endpoint.
+Each counted event lives once, on the object that owns it (a logical
+server's per-mode ``RequestStats``, its session and frame counters, an
+admission gate's tallies). A scrape builds a fresh :class:`MetricsRegistry` from those
+counters and ships its :meth:`MetricsRegistry.snapshot`, so two
+logical servers in one process each export only their own numbers.
+Snapshots fold together with :func:`merge_into`, gain fixed labels with
+:func:`relabel_snapshot`, and render as a Prometheus-style text
+exposition with :func:`render_snapshot_text` for ``lightweb stats``,
+``lightweb top --metrics`` and the stats sidecar's ``/metrics``.
 
 Two zero-leakage properties are structural here, not conventions:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -79,13 +82,6 @@ class Counter:
             ]
         return {"kind": self.kind, "help": self.help, "series": series}
 
-    def render_text(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} counter"]
-        with self._lock:
-            for key, value in sorted(self._series.items()):
-                lines.append(f"{self.name}{_render_labels(key)} {value:g}")
-        return lines
-
 
 class Gauge:
     """A value that can go up and down (queue depth, worker count)."""
@@ -102,11 +98,6 @@ class Gauge:
         with self._lock:
             self._series[_label_key(labels)] = float(value)
 
-    def add(self, amount: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
     def value(self, **labels: Any) -> float:
         with self._lock:
             return self._series.get(_label_key(labels), 0.0)
@@ -118,13 +109,6 @@ class Gauge:
                 for key, value in sorted(self._series.items())
             ]
         return {"kind": self.kind, "help": self.help, "series": series}
-
-    def render_text(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} gauge"]
-        with self._lock:
-            for key, value in sorted(self._series.items()):
-                lines.append(f"{self.name}{_render_labels(key)} {value:g}")
-        return lines
 
 
 class Histogram:
@@ -179,30 +163,6 @@ class Histogram:
             return {"counts": list(cell["counts"]),
                     "sum": cell["sum"], "count": cell["count"]}
 
-    def merge_cells(self, series: Sequence[Dict[str, Any]]) -> None:
-        """Add snapshot series cells into this histogram's live counts.
-
-        Callers must have validated the bucket layout against
-        :attr:`bounds`; cells whose count arrays disagree in length are
-        rejected here as a backstop.
-        """
-        for cell in series:
-            counts = cell["counts"]
-            if len(counts) != len(self.bounds) + 1:
-                raise ReproError(
-                    f"cannot merge histogram {self.name}: cell has "
-                    f"{len(counts)} buckets, expected {len(self.bounds) + 1}")
-            key = _label_key(dict(cell["labels"]))
-            with self._lock:
-                mine = self._series.get(key)
-                if mine is None:
-                    mine = {"counts": [0] * (len(self.bounds) + 1),
-                            "sum": 0.0, "count": 0}
-                    self._series[key] = mine
-                mine["counts"] = [a + b for a, b in zip(mine["counts"], counts)]
-                mine["sum"] += cell["sum"]
-                mine["count"] += cell["count"]
-
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
             series = [
@@ -220,32 +180,6 @@ class Histogram:
             "buckets": list(self.bounds),
             "series": series,
         }
-
-    def render_text(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} histogram"]
-        with self._lock:
-            for key, cell in sorted(self._series.items()):
-                cumulative = 0
-                for bound, n in zip(self.bounds, cell["counts"]):
-                    cumulative += n
-                    le = _render_labels(key, f'le="{bound:g}"')
-                    lines.append(f"{self.name}_bucket{le} {cumulative}")
-                cumulative += cell["counts"][-1]
-                le = _render_labels(key, 'le="+Inf"')
-                lines.append(f"{self.name}_bucket{le} {cumulative}")
-                lines.append(
-                    f"{self.name}_sum{_render_labels(key)} {cell['sum']:g}")
-                lines.append(
-                    f"{self.name}_count{_render_labels(key)} {cell['count']}")
-        return lines
-
-
-def _blank_series_cell(kind: str, buckets: Optional[List[float]]) -> Any:
-    if kind == "histogram":
-        return {"counts": [0] * (len(buckets or []) + 1), "sum": 0.0,
-                "count": 0}
-    return 0.0
 
 
 def merge_into(dst: Dict[str, Any], src: Dict[str, Any]) -> Dict[str, Any]:
@@ -300,8 +234,8 @@ def merge_into(dst: Dict[str, Any], src: Dict[str, Any]) -> Dict[str, Any]:
             if mine is None:
                 mine = {"labels": dict(cell["labels"])}
                 if metric["kind"] == "histogram":
-                    mine.update(_blank_series_cell("histogram",
-                                                   metric.get("buckets")))
+                    width = len(metric.get("buckets", [])) + 1
+                    mine.update(counts=[0] * width, sum=0.0, count=0)
                 else:
                     mine["value"] = 0.0
                 into["series"].append(mine)
@@ -347,9 +281,8 @@ def relabel_snapshot(snap: Dict[str, Any], **labels: Any) -> Dict[str, Any]:
 def render_snapshot_text(snap: Dict[str, Any]) -> str:
     """Prometheus-style text exposition of a snapshot dict.
 
-    The registry's own :meth:`MetricsRegistry.render_text` renders live
-    instruments; this renders the *snapshot* form, so a merged view (a
-    whole scraped fleet) exposes identically to a single process.
+    The one renderer: a single server's scrape and a merged view (a
+    whole scraped fleet) expose identically.
     """
     lines: List[str] = []
     for name, metric in sorted(snap.items()):
@@ -444,256 +377,15 @@ class MetricsRegistry:
         """
         return self.as_dict()
 
-    def merge(self, snap: Dict[str, Any]) -> None:
-        """Fold a snapshot's series into this registry's live instruments.
-
-        Counters/gauges are bumped by the snapshot's per-label-set
-        values; histograms get their bucket counts added cell-wise.
-        Mismatched kinds or bucket layouts are rejected loudly, exactly
-        like :func:`merge_into`.
-
-        Raises:
-            ReproError: on kind or bucket-layout mismatch.
-        """
-        for name, metric in snap.items():
-            kind = metric.get("kind")
-            if kind == "counter":
-                counter = self.counter(name, metric.get("help", ""))
-                for cell in metric.get("series", []):
-                    counter.inc(cell["value"], **dict(cell["labels"]))
-            elif kind == "gauge":
-                gauge = self.gauge(name, metric.get("help", ""))
-                for cell in metric.get("series", []):
-                    gauge.add(cell["value"], **dict(cell["labels"]))
-            elif kind == "histogram":
-                hist = self.histogram(name, metric.get("help", ""),
-                                      buckets=metric.get(
-                                          "buckets",
-                                          DEFAULT_SECONDS_BUCKETS))
-                if list(hist.bounds) != list(metric.get("buckets", [])):
-                    raise ReproError(
-                        f"cannot merge histogram {name}: bucket layouts "
-                        f"differ ({list(hist.bounds)} vs "
-                        f"{metric.get('buckets')})")
-                hist.merge_cells(metric.get("series", []))
-            else:
-                raise ReproError(
-                    f"cannot merge metric {name}: unknown kind {kind!r}")
-
-    def render_text(self) -> str:
-        """Prometheus-style text exposition of every registered metric."""
-        with self._lock:
-            metrics = list(self._metrics.items())
-        lines: List[str] = []
-        for _, metric in sorted(metrics):
-            lines.extend(metric.render_text())
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def reset(self) -> None:
-        """Drop every metric (test isolation)."""
-        with self._lock:
-            self._metrics.clear()
-
-
-#: Process-wide default registry, exposed by ``lightweb stats``.
-REGISTRY = MetricsRegistry()
-
-
-def record_request_stats(mode: str, delta, registry: Optional[MetricsRegistry] = None) -> None:
-    """Fold one per-request ``RequestStats`` delta into the registry.
-
-    Called by the ZLTP server at the protocol layer — the single point
-    where every backend's per-request accounting already flows — so the
-    registry view and ``ZltpServer.stats_by_mode()`` reconcile by
-    construction. ``mode`` is a public wire identifier.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "zltp_queries_total", "PIR queries answered, by backend mode",
-    ).inc(delta.queries, mode=mode)
-    reg.counter(
-        "zltp_bytes_up_total", "Request payload bytes received, by mode",
-    ).inc(delta.bytes_up, mode=mode)
-    reg.counter(
-        "zltp_bytes_down_total", "Answer payload bytes sent, by mode",
-    ).inc(delta.bytes_down, mode=mode)
-    reg.histogram(
-        "zltp_scan_seconds", "Server-side answer wall time, by mode",
-    ).observe(delta.scan_seconds, mode=mode)
-
-
-def record_fanout(tasks: int, wall_seconds: float, busy_seconds: float,
-                  registry: Optional[MetricsRegistry] = None) -> None:
-    """Record one front-end fan-out (task count and wall/busy time)."""
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "engine_fanouts_total", "Shard fan-outs run by the sharded front-ends",
-    ).inc(1)
-    reg.counter(
-        "engine_tasks_total", "Tasks executed across all fan-outs",
-    ).inc(tasks)
-    reg.histogram(
-        "engine_fanout_wall_seconds", "Wall time per fan-out",
-    ).observe(wall_seconds)
-    reg.counter(
-        "engine_busy_seconds_total", "Summed shard-scan time across fan-outs",
-    ).inc(busy_seconds)
-
-
-def record_retry(layer: str,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one retry attempt at a resilience layer.
-
-    ``layer`` is a public structural label (``"transport"``,
-    ``"engine"``, ``"browser"``) — never derived from request contents;
-    retries are triggered only by public failure events.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "resilience_retries_total", "Retry attempts, by resilience layer",
-    ).inc(1, layer=layer)
-
-
-def record_reconnect(outcome: str,
-                     registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one transport reconnection attempt's outcome.
-
-    ``outcome`` is one of the fixed labels ``"ok"``, ``"failed"``, or
-    ``"deadline"`` — public connection-level events only.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "transport_reconnects_total", "Transport reconnections, by outcome",
-    ).inc(1, outcome=outcome)
-
-
-def record_failover(layer: str,
-                    registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one failover to a sibling endpoint or worker."""
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "resilience_failovers_total", "Failovers to a sibling, by layer",
-    ).inc(1, layer=layer)
-
-
-def record_announce(outcome: str,
-                    registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one directory announce by outcome.
-
-    ``outcome`` is one of the fixed labels ``"ok"``, ``"rejected"``
-    (signature failure), or ``"stale"`` (generation raced backwards) —
-    control-plane events about public server topology only.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "discovery_announces_total", "Directory announces, by outcome",
-    ).inc(1, outcome=outcome)
-
-
-def record_resolve(source: str, seconds: Optional[float] = None,
-                   registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one capability resolve by where the answer came from.
-
-    ``source`` is one of the fixed labels ``"directory"`` (live answer),
-    ``"cache"`` (directory down, TTL-grace fallback), or ``"failed"``
-    (no answer at all). Queries are structural — universe/kind/mode —
-    never per-fetch, so nothing here can key on what a client is reading.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "discovery_resolves_total", "Capability resolves, by answer source",
-    ).inc(1, source=source)
-    if seconds is not None:
-        reg.histogram(
-            "discovery_resolve_seconds", "Wall time per capability resolve",
-        ).observe(seconds)
-
-
-def record_rediscovery(registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one pool refresh that re-resolved endpoints via discovery
-    (every pooled candidate was dead and the directory supplied more)."""
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "discovery_rediscoveries_total",
-        "Endpoint pools refreshed by re-resolving through discovery",
-    ).inc(1)
-
-
-def record_truncated_frame(registry: Optional[MetricsRegistry] = None) -> None:
-    """Count one connection that died mid-frame (a partial frame was
-    left in its decoder).
-
-    A connection-level event — nothing about frame *contents* is
-    recorded, only that a stream ended on a frame boundary violation.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "zltp_truncated_frames_total",
-        "Connections that closed with a partial frame buffered",
-    ).inc(1)
-
-
-def record_admission(outcome: str, n: int = 1,
-                     registry: Optional[MetricsRegistry] = None) -> None:
-    """Count ``n`` queries through the admission gate by outcome.
-
-    ``outcome`` is one of the fixed labels ``"admitted"`` or ``"shed"``
-    — a decision driven only by aggregate queue depth and service-time
-    estimates, never by request contents.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.counter(
-        "admission_requests_total",
-        "Queries through the admission gate, by outcome",
-    ).inc(n, outcome=outcome)
-
-
-def record_admission_queue_depth(depth: int,
-                                 registry: Optional[MetricsRegistry] = None
-                                 ) -> None:
-    """Gauge the admission gate's admitted-and-unfinished query count."""
-    reg = registry if registry is not None else REGISTRY
-    reg.gauge(
-        "admission_queue_depth",
-        "Queries admitted and not yet finished",
-    ).set(depth)
-
-
-def record_active_sessions(server_kind: str, active: int,
-                           registry: Optional[MetricsRegistry] = None) -> None:
-    """Gauge the live ZLTP session count for one server flavour.
-
-    ``server_kind`` is a fixed structural label (``"threaded"``,
-    ``"eventloop"``); the count is aggregate concurrency, never anything
-    per-session.
-    """
-    reg = registry if registry is not None else REGISTRY
-    reg.gauge(
-        "zltp_active_sessions", "Live ZLTP sessions, by server kind",
-    ).set(active, server=server_kind)
-
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
     "DEFAULT_SECONDS_BUCKETS",
     "merge_into",
     "relabel_snapshot",
     "render_snapshot_text",
     "snapshot_total",
-    "record_request_stats",
-    "record_fanout",
-    "record_retry",
-    "record_reconnect",
-    "record_failover",
-    "record_announce",
-    "record_resolve",
-    "record_rediscovery",
-    "record_truncated_frame",
-    "record_admission",
-    "record_admission_queue_depth",
-    "record_active_sessions",
 ]

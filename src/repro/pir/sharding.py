@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.backend import current_request_stats
 from repro.crypto.dpf import eval_dpf_full_batch, expand_keys
 from repro.errors import CryptoError
-from repro.obs.metrics import record_fanout, record_retry
 from repro.obs.trace import span
 from repro.pir.database import BlobDatabase
 from repro.pir.twoserver import parse_selection_burst
@@ -157,7 +156,6 @@ class FrontEnd:
                     except Exception:
                         self.scans_failed += 1
                         raise
-                    record_retry("engine")
                     stats = current_request_stats()
                     if stats is not None:
                         stats.add(retries=1)
@@ -167,7 +165,6 @@ class FrontEnd:
                 sp.annotate(retries=retries)
         self.last_fanout = FanoutReport(tasks=n_shards, wall_seconds=sp.elapsed,
                                         busy_seconds=busy, retries=retries)
-        record_fanout(n_shards, sp.elapsed, busy)
         for server in self.data_servers:
             server.requests_served += len(keys)
         answers = []

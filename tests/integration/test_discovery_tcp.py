@@ -31,7 +31,6 @@ from repro.core.resilience import ReconnectingTransport, RetryPolicy
 from repro.core.zltp.client import connect_client
 from repro.core.discovery import resolved_pool
 from repro.errors import TransportError
-from repro.obs.metrics import REGISTRY
 
 SECRET = b"integration-secret"
 
@@ -104,13 +103,10 @@ class TestDirectoryHealsKilledPrimary:
             Announcer(dir_client, lambda: replicas_only(deployment),
                       secret=SECRET).announce_now()
 
-            before = REGISTRY.counter("discovery_rediscoveries_total").value()
             again = client.get_slots(slots)
             assert again == baseline  # byte-identical decoded records
             assert transports[0].reconnects >= 1
             assert transports[0].pool.refreshes >= 1
-            assert REGISTRY.counter(
-                "discovery_rediscoveries_total").value() > before
             client.close()
         finally:
             deployment.stop()
@@ -139,16 +135,12 @@ class TestDirectoryHealsKilledPrimary:
             directory.stop()
 
             fallbacks_before = resolver.cache_fallbacks
-            cache_hits_before = REGISTRY.counter(
-                "discovery_resolves_total").value(source="cache")
             second = LightwebBrowser(rng=np.random.default_rng(1))
             second.connect(proxy, "main", client_modes=["pir2"])
             page = second.visit("disc.example/inner")
             assert "resolved via the directory" in page.text
             second.close()
             assert resolver.cache_fallbacks > fallbacks_before
-            assert REGISTRY.counter("discovery_resolves_total").value(
-                source="cache") > cache_hits_before
         finally:
             deployment.stop()
             directory.stop()

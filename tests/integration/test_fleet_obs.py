@@ -9,10 +9,9 @@ own scrape, a footer that totals the rows, and one merged snapshot equal
 to the sum of the per-server scrapes; killing one server's sidecar must
 render a ``DOWN`` row without failing the scrape.
 
-Both servers live in this one process and so share its metrics
-registry: every scrape's ``metrics`` carries both servers' series. The
-per-server numbers of a row come from the scrape's ``modes`` instead,
-which each logical server keeps for itself.
+Both servers live in this one process, and each scrape's ``metrics``
+still carries only its own server's GETs: a scrape renders the logical
+server's own counters.
 """
 
 import json
@@ -32,7 +31,7 @@ from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
 from repro.obs.fleet import scrape_server, targets_from_records
-from repro.obs.metrics import REGISTRY, snapshot_total
+from repro.obs.metrics import snapshot_total
 from repro.pir.database import BlobDatabase
 
 # 16 MiB, so each GET's scan takes long enough (at least ~1 ms at any
@@ -50,8 +49,7 @@ def pir2_queries(snapshot):
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Two announced pir2 servers, already exercised, and the process
-    registry's pir2 query count from before their GETs."""
+    """Two announced pir2 servers, already exercised."""
     db = BlobDatabase(DOMAIN_BITS, BLOB)
     for i in range(db.n_slots):
         db.set_slot(i, bytes([i % 256]) * BLOB)
@@ -64,7 +62,6 @@ def fleet():
         sidecars.append(serve_stats(server.stats_snapshot,
                                     traces=server.flight.export))
 
-    baseline = REGISTRY.counter("zltp_queries_total").value(mode="pir2")
     transports = [connect_tcp(*lis.address) for lis in listeners]
     client = connect_client(transports, supported_modes=["pir2"],
                             rng=np.random.default_rng(7))
@@ -86,7 +83,7 @@ def fleet():
             ttl_seconds=None,
         ).sign())
 
-    yield directory, dclient, sidecars, baseline
+    yield directory, dclient, sidecars
     for lis in listeners + sidecars:
         lis.stop()
     directory.stop()
@@ -118,7 +115,7 @@ def footer(out):
 class TestFleetTop:
     def test_merged_totals_equal_sum_of_per_server_scrapes(self, fleet,
                                                            capsys):
-        directory, dclient, _sidecars, baseline = fleet
+        directory, dclient, _sidecars = fleet
         rc, out = run_cli(capsys, [
             "top", "--json",
             "--directory", f"127.0.0.1:{directory.address[1]}"])
@@ -133,21 +130,24 @@ class TestFleetTop:
         for scrape in scrapes:
             assert scrape.stats["gets_served"] == N_GETS
             assert scrape.stats["modes"]["pir2"]["queries"] == N_GETS
-        # Both servers share this process's registry, so each scrape's
-        # metrics carry both servers' GETs: 2 parties x N_GETS since the
-        # fixture's baseline.
+        # Each scrape's metrics carry its own server's GETs alone, though
+        # both servers share this process.
         per_server = [pir2_queries(scrape.metrics) for scrape in scrapes]
-        assert per_server[0] == per_server[1]
-        assert per_server[0] - baseline == 2 * N_GETS
+        assert per_server == [N_GETS, N_GETS]
         # Independent per-server scrapes must sum to the fleet total.
         merged_total = snapshot_total(snap["merged"], "zltp_queries_total")
         assert merged_total == sum(
             snapshot_total(scrape.metrics, "zltp_queries_total")
             for scrape in scrapes)
         assert pir2_queries(snap["merged"]) == sum(per_server)
+        # The merged metrics and the table's footer count the same GETs.
+        rc, out = run_cli(capsys, [
+            "top", "--directory", f"127.0.0.1:{directory.address[1]}"])
+        assert rc == 0
+        assert footer(out)[0] == merged_total
 
     def test_table_renders_both_servers_up(self, fleet, capsys):
-        directory, dclient, _sidecars, _baseline = fleet
+        directory, dclient, _sidecars = fleet
         rc, out = run_cli(capsys, [
             "top", "--directory", f"127.0.0.1:{directory.address[1]}"])
         assert rc == 0
@@ -175,7 +175,7 @@ class TestFleetTop:
             5e-4 * (len(rows) + 1) + 1e-9
 
     def test_top_metrics_prints_merged_exposition(self, fleet, capsys):
-        directory, _dclient, _sidecars, _baseline = fleet
+        directory, _dclient, _sidecars = fleet
         rc, out = run_cli(capsys, [
             "top", "--metrics",
             "--directory", f"127.0.0.1:{directory.address[1]}"])
@@ -187,7 +187,7 @@ class TestFleetTop:
         assert 'server="fleet/data/1/primary0"' in out
 
     def test_trace_subcommand_renders_flight_rings(self, fleet, capsys):
-        _directory, _dclient, sidecars, _baseline = fleet
+        _directory, _dclient, sidecars = fleet
         rc, out = run_cli(capsys, [
             "trace", "--port", str(sidecars[0].address[1])])
         assert rc == 0
@@ -198,7 +198,7 @@ class TestFleetTop:
                                                        capsys):
         # Ordered last (name + file order) so earlier all-up asserts see
         # the whole fleet; from here on server 1's sidecar is gone.
-        directory, _dclient, sidecars, _baseline = fleet
+        directory, _dclient, sidecars = fleet
         sidecars[1].stop()
         rc, out = run_cli(capsys, [
             "top", "--directory", f"127.0.0.1:{directory.address[1]}"])

@@ -17,14 +17,11 @@ stall and a real socket killed mid-burst — are test-local
 ``recv_frame`` overrides below.
 """
 import itertools
-import json
-import socket
 import time
 
 import numpy as np
 import pytest
 
-from repro.cli.serve import serve_stats
 from repro.core.resilience import (
     EndpointPool,
     ReconnectingTransport,
@@ -37,7 +34,6 @@ from repro.core.zltp.serving import create_tcp_server
 from repro.crypto.dpf import gen_dpf
 from repro.errors import DeadlineError, TransportError
 from repro.netsim.simnet import NetworkPath, SimClock, SimLink
-from repro.obs.metrics import REGISTRY
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex
 from repro.pir.sharding import ShardedPartyServer
@@ -81,26 +77,6 @@ def memory_dial(server, path=None):
 
 def lossy_path(*lose):
     return NetworkPath(SimClock(), lose=lose)
-
-
-def http_get(address, path):
-    with socket.create_connection(address, timeout=5) as sock:
-        sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
-        data = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            data += chunk
-    return data.partition(b"\r\n\r\n")[2]
-
-
-def metric_value(metrics, name, **labels):
-    wanted = {k: str(v) for k, v in labels.items()}
-    for series in metrics[name]["series"]:
-        if series["labels"] == wanted:
-            return series["value"]
-    return 0.0
 
 
 class TestScriptedFaults:
@@ -287,8 +263,6 @@ class TestShardDeath:
         parties = [ShardedPartyServer(db, 2, party) for party in (0, 1)]
         # One data server's store goes bad mid-serving.
         break_shard(parties[0].front_end, 1)
-        before = REGISTRY.counter("resilience_retries_total").value(
-            layer="engine")
         target = 100
         k0, k1 = gen_dpf(target, db.domain_bits)
         a0 = parties[0].answer(k0.to_bytes())
@@ -297,9 +271,6 @@ class TestShardDeath:
         assert record.rstrip(b"\x00") == f"cell-{target}".encode()
         assert parties[0].front_end.shards_repaired == 1
         assert parties[0].front_end.last_fanout.retries >= 1
-        after = REGISTRY.counter("resilience_retries_total").value(
-            layer="engine")
-        assert after >= before + 1
 
     def test_dead_shard_during_batch_scan_is_repaired(self):
         db = BlobDatabase(8, 24)
@@ -345,7 +316,7 @@ class TestEndpointFailoverAcceptance:
     :class:`EndpointPool` of both listeners. The primary party-0
     listener is killed between two identical pipelined batches; the
     second batch must decode byte-identically via reconnect + failover,
-    with the retries visible in ``/metrics.json``.
+    with the retries counted on the client's own transport.
     """
 
     @pytest.mark.parametrize("server_kind", ["threaded", "eventloop"])
@@ -357,7 +328,6 @@ class TestEndpointFailoverAcceptance:
                      for server in logical]
         replicas = [create_tcp_server(server_kind, server)
                     for server in logical]
-        sidecar = serve_stats(lambda: {"metrics": REGISTRY.as_dict()})
         policy_args = dict(max_attempts=6, base_delay=0.01, jitter=0.0)
         try:
             transports = [
@@ -380,17 +350,8 @@ class TestEndpointFailoverAcceptance:
             assert again == baseline  # byte-identical decoded records
             assert transports[0].reconnects >= 1
             assert transports[0].pool.failovers >= 1
-
-            metrics = json.loads(
-                http_get(sidecar.address, "/metrics.json"))["metrics"]
-            assert metric_value(metrics, "resilience_retries_total",
-                                layer="transport") > 0
-            assert metric_value(metrics, "transport_reconnects_total",
-                                outcome="ok") > 0
-            assert metric_value(metrics, "resilience_failovers_total",
-                                layer="transport") > 0
+            assert transports[0].retries > 0
             client.close()
         finally:
-            sidecar.stop()
             for listener in primaries + replicas:
                 listener.stop()

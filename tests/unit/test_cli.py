@@ -18,6 +18,7 @@ from repro.core.discovery import (
 )
 from repro.core.lightweb.browser import LightwebBrowser, RenderedPage
 from repro.errors import PathError
+from repro.obs.metrics import snapshot_total
 
 
 SPEC = {
@@ -115,6 +116,26 @@ class TestServeAndBrowse:
             assert "served by the CLI" in about.text
             assert not about.notes  # integrity verified cleanly
             browser.close()
+
+    def test_stats_metrics_fold_the_logical_servers(self, spec_file):
+        # The deployment's metrics are its logical servers' own scrapes
+        # folded together, so they count each served GET exactly once.
+        deployment = build_deployment([spec_file], fetch_budget=2,
+                                      data_domain_bits=10,
+                                      code_domain_bits=7)
+        with announced(deployment) as address:
+            browser = directory_browser(address)
+            browser.visit("cli.example")
+            browser.close()
+            stats = deployment.stats_snapshot()
+        assert stats["gets_served"] > 0
+        metrics = stats["metrics"]
+        assert snapshot_total(metrics, "zltp_queries_total") == \
+            stats["gets_served"]
+        by_mode = {cell["labels"]["mode"]: cell["value"]
+                   for cell in metrics["zltp_queries_total"]["series"]}
+        assert by_mode == {mode: counts["queries"]
+                           for mode, counts in stats["modes"].items()}
 
     def test_serve_all_registered_modes_by_default(self, spec_file):
         from repro.core.backend import registered_modes

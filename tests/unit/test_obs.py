@@ -1,8 +1,7 @@
 """Unit tests for :mod:`repro.obs` — spans, metrics, structured logging.
 
-Metric tests use private :class:`MetricsRegistry` instances so the
-process-wide ``REGISTRY`` (which the ZLTP/engine layers feed) is never
-polluted or depended on. Span tests activate their own tracer and always
+Metric tests use private :class:`MetricsRegistry` instances, the only
+kind there is. Span tests activate their own tracer and always
 tear it down via the ``tracing()`` context manager.
 """
 
@@ -12,10 +11,16 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.backend import RequestStats
+from repro.core.zltp.admission import AdmissionController
+from repro.core.zltp.client import connect_client
+from repro.core.zltp.modes import MODE_ENCLAVE
+from repro.core.zltp.server import ZltpServer
+from repro.core.zltp.wire import encode_frame
 from repro.errors import ReproError
+from repro.netsim.simnet import SimLink
 from repro.obs.logs import (
     ConsoleFormatter,
     JsonLineFormatter,
@@ -27,14 +32,15 @@ from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     Histogram,
     MetricsRegistry,
-    record_fanout,
-    record_request_stats,
+    render_snapshot_text,
+    snapshot_total,
 )
 from repro.obs.trace import (
     Tracer,
     span,
     tracing,
 )
+from repro.pir.database import BlobDatabase
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -59,10 +65,10 @@ class TestCountersAndGauges:
         with pytest.raises(ReproError):
             c.inc(-1)
 
-    def test_gauge_set_and_add(self):
+    def test_gauge_set_overwrites(self):
         g = MetricsRegistry().gauge("depth")
         g.set(4)
-        g.add(-1)
+        g.set(3)
         assert g.value() == 3
 
     def test_registry_get_or_create_returns_same_instrument(self):
@@ -127,11 +133,12 @@ class TestHistogramBuckets:
         assert len(set(DEFAULT_SECONDS_BUCKETS)) == len(DEFAULT_SECONDS_BUCKETS)
 
     def test_render_text_cumulative_buckets_and_inf(self):
-        h = Histogram("lat", "latency", buckets=(0.01, 0.1))
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", "latency", buckets=(0.01, 0.1))
         h.observe(0.005, mode="pir2")
         h.observe(0.05, mode="pir2")
         h.observe(5.0, mode="pir2")
-        text = "\n".join(h.render_text())
+        text = render_snapshot_text(reg.snapshot())
         assert 'lat_bucket{mode="pir2",le="0.01"} 1' in text
         assert 'lat_bucket{mode="pir2",le="0.1"} 2' in text
         assert 'lat_bucket{mode="pir2",le="+Inf"} 3' in text
@@ -139,31 +146,86 @@ class TestHistogramBuckets:
 
 
 # ----------------------------------------------------------------------
-# Metrics: the accounting helpers
+# Metrics: one server's scrape renders that server's own counters
 # ----------------------------------------------------------------------
 
-class TestRecorders:
-    def test_record_request_stats_folds_delta(self):
-        reg = MetricsRegistry()
-        delta = RequestStats(queries=2, bytes_up=100, bytes_down=300,
-                             scan_seconds=0.002)
-        record_request_stats("pir2", delta, registry=reg)
-        record_request_stats("pir2", delta, registry=reg)
-        assert reg.counter("zltp_queries_total").value(mode="pir2") == 4
-        assert reg.counter("zltp_bytes_up_total").value(mode="pir2") == 200
-        assert reg.counter("zltp_bytes_down_total").value(mode="pir2") == 600
-        hist = reg.histogram("zltp_scan_seconds")
-        assert hist.snapshot(mode="pir2")["count"] == 2
+def serve_gets(n_gets, admission=None):
+    """A single-endpoint server that has answered ``n_gets`` GETs over
+    one still-open session."""
+    db = BlobDatabase(6, 32)
+    server = ZltpServer(db, modes=[MODE_ENCLAVE], admission=admission,
+                        rng=np.random.default_rng(0))
+    client = connect_client([SimLink().connect(server)],
+                            supported_modes=[MODE_ENCLAVE])
+    for slot in range(n_gets):
+        client.get_slot(slot)
+    return server, client
 
-    def test_record_fanout(self):
-        reg = MetricsRegistry()
-        record_fanout(4, 0.01, 0.03, registry=reg)
-        record_fanout(8, 0.02, 0.05, registry=reg)
-        assert reg.counter("engine_fanouts_total").value() == 2
-        assert reg.counter("engine_tasks_total").value() == 12
-        assert reg.counter("engine_busy_seconds_total").value() == \
-            pytest.approx(0.08)
-        assert reg.histogram("engine_fanout_wall_seconds").snapshot()["count"] == 2
+
+def series(metrics, name, **labels):
+    """The value of one series of a metrics snapshot (None if absent)."""
+    wanted = {key: str(value) for key, value in labels.items()}
+    for cell in metrics.get(name, {}).get("series", []):
+        if cell["labels"] == wanted:
+            return cell["value"]
+    return None
+
+
+class TestOneStatsPlane:
+    """Two logical servers in one process: each scrape's ``metrics`` is
+    that same snapshot's numbers, never the neighbour's and never a sum."""
+
+    MODE_FIELDS = {"queries": "zltp_queries_total",
+                   "bytes_up": "zltp_bytes_up_total",
+                   "bytes_down": "zltp_bytes_down_total",
+                   "scan_seconds": "zltp_scan_seconds_total",
+                   "retries": "zltp_retries_total"}
+
+    def test_each_server_exports_only_its_own_counters(self):
+        gated, gated_client = serve_gets(3, admission=AdmissionController())
+        plain, plain_client = serve_gets(5)
+        # Distinct session events on each side.
+        session = gated.create_session()
+        session.receive(encode_frame(b"x" * 16)[:6])
+        session.end_of_stream()
+        plain.create_session().expire()
+        gated_client.close()
+
+        for server, gets in ((gated, 3), (plain, 5)):
+            snap = server.stats_snapshot()
+            metrics = snap["metrics"]
+            assert snap["gets_served"] == gets
+            assert snapshot_total(metrics, "zltp_queries_total") == gets
+            assert set(snap["modes"]) == {MODE_ENCLAVE}
+            for mode, counts in snap["modes"].items():
+                for field, name in self.MODE_FIELDS.items():
+                    assert series(metrics, name, mode=mode) == counts[field]
+            assert series(metrics, "zltp_active_sessions") == \
+                snap["sessions_active"]
+            assert series(metrics, "zltp_truncated_frames_total") == \
+                snap["truncated_frames"]
+            assert series(metrics, "zltp_idle_reaped_total") == \
+                snap["idle_reaped"]
+
+        gated_snap, plain_snap = gated.stats_snapshot(), plain.stats_snapshot()
+        assert (gated_snap["sessions_active"], gated_snap["truncated_frames"],
+                gated_snap["idle_reaped"]) == (0, 1, 0)
+        assert (plain_snap["sessions_active"], plain_snap["truncated_frames"],
+                plain_snap["idle_reaped"]) == (1, 0, 1)
+        # Only the gated server has a gate, and its series are its own.
+        gate = gated_snap["admission"]
+        assert gate["admitted"] == 3
+        metrics = gated_snap["metrics"]
+        assert series(metrics, "admission_requests_total",
+                      outcome="admitted") == gate["admitted"]
+        assert series(metrics, "admission_requests_total",
+                      outcome="shed") == gate["shed"]
+        assert series(metrics, "admission_queue_depth") == \
+            gate["queue_depth"]
+        assert "admission" not in plain_snap
+        assert not any(name.startswith("admission_")
+                       for name in plain_snap["metrics"])
+        plain_client.close()
 
 
 # ----------------------------------------------------------------------

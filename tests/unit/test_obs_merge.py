@@ -34,7 +34,7 @@ def make_snapshot(scans=3.0, observe=(0.005, 0.05, 0.5), **labels):
     for value in observe:
         hist.observe(value, **labels)
     gauge = registry.gauge("sessions_active", "live sessions")
-    gauge.add(2.0, **labels)
+    gauge.set(2.0, **labels)
     return registry.snapshot()
 
 
@@ -142,31 +142,28 @@ class TestSnapshotTotal:
         assert snapshot_total(snap, "no_such_metric") == 0.0
 
 
-class TestRenderAndRegistryMerge:
-    def test_snapshot_text_matches_live_registry_text(self):
+class TestRenderSnapshotText:
+    def test_counter_and_histogram_exposition(self):
         registry = MetricsRegistry()
         registry.counter("scans_total", "scans served").inc(3.0, op="scan")
         registry.histogram("scan_seconds", "scan latency",
                            buckets=BUCKETS).observe(0.05, op="scan")
-        assert render_snapshot_text(registry.snapshot()) == \
-            registry.render_text()
+        assert render_snapshot_text(registry.snapshot()).splitlines() == [
+            "# HELP scan_seconds scan latency",
+            "# TYPE scan_seconds histogram",
+            'scan_seconds_bucket{op="scan",le="0.01"} 0',
+            'scan_seconds_bucket{op="scan",le="0.1"} 1',
+            'scan_seconds_bucket{op="scan",le="1"} 1',
+            'scan_seconds_bucket{op="scan",le="+Inf"} 1',
+            'scan_seconds_sum{op="scan"} 0.05',
+            'scan_seconds_count{op="scan"} 1',
+            "# HELP scans_total scans served",
+            "# TYPE scans_total counter",
+            'scans_total{op="scan"} 3',
+        ]
 
-    def test_registry_merge_folds_into_live_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("scans_total", "scans served").inc(1.0, op="scan")
-        registry.merge(make_snapshot(op="scan"))
-        assert registry.counter("scans_total", "scans served") \
-            .value(op="scan") == 4.0
-        hist = registry.histogram("scan_seconds", "scan latency",
-                                  buckets=BUCKETS)
-        assert hist.snapshot(op="scan")["count"] == 3
-
-    def test_registry_merge_rejects_mismatched_buckets(self):
-        registry = MetricsRegistry()
-        registry.histogram("scan_seconds", "scan latency",
-                           buckets=[9.0]).observe(1.0)
-        with pytest.raises(ReproError, match="bucket layouts"):
-            registry.merge(make_snapshot())
+    def test_empty_snapshot_renders_nothing(self):
+        assert render_snapshot_text({}) == ""
 
 
 class TestRenderFleet:

@@ -221,16 +221,11 @@ class TestEndpointPool:
 
     def test_all_dead_error_type_and_failover_accounting(self):
         # Every candidate dead: the error must be the typed
-        # TransportError (so retry layers treat it as recoverable), the
-        # pool's own counter must reflect the failed rotation, and the
-        # process metric must count each failover exactly once.
-        from repro.obs.metrics import REGISTRY
-
+        # TransportError (so retry layers treat it as recoverable) and
+        # the pool's own counter must reflect the failed rotation.
         def dead():
             raise TransportError("down")
 
-        before = REGISTRY.counter(
-            "resilience_failovers_total").value(layer="transport")
         pool = EndpointPool([dead, dead, dead], name="trio")
         with pytest.raises(TransportError) as err:
             pool.dial()
@@ -239,8 +234,6 @@ class TestEndpointPool:
         # A failed full rotation records no failover: the pool never
         # moved to a *working* sibling.
         assert pool.failovers == 0
-        assert REGISTRY.counter(
-            "resilience_failovers_total").value(layer="transport") == before
         # A later successful rotation still starts from the pinned index.
         with pytest.raises(TransportError):
             pool.dial()
