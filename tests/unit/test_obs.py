@@ -227,6 +227,16 @@ class TestOneStatsPlane:
                        for name in plain_snap["metrics"])
         plain_client.close()
 
+    def test_repeated_scrapes_count_each_get_once(self):
+        server, client = serve_gets(4)
+        first = server.stats_snapshot()
+        assert server.stats_snapshot() == first
+        client.get_slot(7)
+        later = server.stats_snapshot()
+        assert later["gets_served"] == 5
+        assert snapshot_total(later["metrics"], "zltp_queries_total") == 5
+        client.close()
+
 
 # ----------------------------------------------------------------------
 # Spans

@@ -43,8 +43,20 @@ class TestProtocol:
         assert fetch(client, 9, s0, s1) == b"\x00" * 16
 
     def test_individual_answers_are_shares(self):
-        """Neither server's answer alone equals the record."""
-        db0, db1 = replicated_db(6)
+        """Neither server's answer alone equals the record.
+
+        The rows are random bytes: over the low-entropy ``row-i`` rows a
+        share's XOR of about half the rows hits ``row-11`` about once in
+        400 key pairs, whereas 64 random 24-byte rows are linearly
+        independent, so a share equals the record only if it selected
+        that row alone (odds 2**-63).
+        """
+        rows = np.random.default_rng(11).integers(0, 256, size=(64, 24),
+                                                  dtype=np.uint8)
+        db0, db1 = BlobDatabase(6, 24), BlobDatabase(6, 24)
+        for db in (db0, db1):
+            for i, row in enumerate(rows):
+                db.set_slot(i, row.tobytes())
         s0, s1 = TwoServerPirServer(db0, 0), TwoServerPirServer(db1, 1)
         client = TwoServerPirClient(6, 24)
         k0, k1 = client.query(11)
