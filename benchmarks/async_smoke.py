@@ -1,16 +1,14 @@
 """Smoke-run the E12 concurrency benchmark at toy sizes.
 
 Tier-1 runs this (via ``tests/integration/test_async_bench_smoke.py``) so
-the selector-reactor session core is exercised against its baseline
-(thread per connection) on every test run. It records timings but gates
-only on *structure* and *correctness*: the event-loop server must hold
-at least as many concurrent sessions as the threaded baseline while
-spending exactly **one** service thread (the threaded baseline spends
-one per session), and every kind must still answer while loaded.
+the selector-reactor session core is exercised on every test run. It
+records timings but gates only on *structure* and *correctness*: the
+reactor must hold every session the smoke opens, negotiated, on exactly
+**one** service thread, start no other thread in the process while it
+holds them, and still answer a fresh session while loaded.
 
-The perf claim (the sessions-per-thread ratio at scale) lives in
-``benchmarks/bench_e12_async_sessions.py`` at real sizes, where it is
-meaningful.
+The same claim at real sizes lives in
+``benchmarks/bench_e12_async_sessions.py``.
 
 Run standalone::
 
@@ -22,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import socket
+import threading
 import time
 from pathlib import Path
 
 from repro.core.zltp import messages as msg
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import SERVER_KINDS, create_tcp_server
+from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex
@@ -70,9 +69,10 @@ def _hello_roundtrip(address) -> bool:
         sock.close()
 
 
-def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
-    """Hold ``n_sessions`` negotiated sessions open under one listener."""
-    listener = create_tcp_server(kind, _build_logical())
+def _measure_sessions(n_sessions: int = SESSIONS) -> dict:
+    """Hold ``n_sessions`` negotiated sessions open under one reactor."""
+    listener = create_tcp_server("eventloop", _build_logical())
+    baseline_threads = threading.active_count()
     socks = []
     try:
         t0 = time.perf_counter()
@@ -103,11 +103,12 @@ def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
         # The listener still does real work while holding them all.
         roundtrip_ok = _hello_roundtrip(listener.address)
         return {
-            "kind": kind,
+            "opened_sessions": n_sessions,
             "concurrent_sessions": concurrent,
             "negotiated_sessions": decoder_ok,
             "service_threads": threads,
-            "sessions_per_thread": concurrent / threads if threads else None,
+            "process_thread_delta":
+                threading.active_count() - baseline_threads,
             "open_seconds": open_seconds,
             "get_roundtrip_ok": roundtrip_ok,
         }
@@ -121,11 +122,29 @@ def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
 
 
 def run() -> dict:
-    """Exercise both session cores at toy sizes; return the record."""
+    """Exercise the reactor at toy sizes; return the record."""
     return {
         "experiment": "E12 async sessions (smoke, toy sizes)",
-        "sessions": [_measure_sessions(kind) for kind in SERVER_KINDS],
+        "reactor": _measure_sessions(),
     }
+
+
+def check(data: dict) -> list:
+    """The E12 smoke's structural gates; returns failure messages."""
+    reactor = data["reactor"]
+    failures = []
+    if reactor["concurrent_sessions"] != reactor["opened_sessions"]:
+        failures.append(f"the reactor held {reactor['concurrent_sessions']} "
+                        f"of {reactor['opened_sessions']} sessions")
+    if reactor["negotiated_sessions"] != reactor["opened_sessions"]:
+        failures.append("not every session negotiated")
+    if reactor["service_threads"] != 1:
+        failures.append("the reactor spent more than one service thread")
+    if reactor["process_thread_delta"] > 0:
+        failures.append("holding the sessions started threads")
+    if not reactor["get_roundtrip_ok"]:
+        failures.append("the reactor failed the live roundtrip")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -136,16 +155,7 @@ def main(argv=None) -> int:
     data = run()
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {args.out}")
-    failures = []
-    by_kind = {entry["kind"]: entry for entry in data["sessions"]}
-    eventloop, threaded = by_kind["eventloop"], by_kind["threaded"]
-    if eventloop["concurrent_sessions"] < threaded["concurrent_sessions"]:
-        failures.append("event loop sustained fewer sessions than threads")
-    if eventloop["service_threads"] != 1:
-        failures.append("event loop spent more than one service thread")
-    for entry in data["sessions"]:
-        if not entry["get_roundtrip_ok"]:
-            failures.append(f"{entry['kind']} failed the live roundtrip")
+    failures = check(data)
     for failure in failures:
         print(f"GATE FAILED: {failure}")
     return 1 if failures else 0

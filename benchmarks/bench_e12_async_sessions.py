@@ -1,12 +1,11 @@
-"""E12 — outgrowing thread-per-connection: reactor sessions.
+"""E12 — reactor sessions: many sessions, one service thread.
 
 One claim from this repo's concurrency work (no direct paper number —
 the paper's §5.2 front-end is a fleet of real machines; here the win is
-showing the *shape* on one host): one selector-reactor thread sustains
-at least 10× the sessions-per-service-thread of the thread-per-connection
-baseline at equal session count — because its per-session cost is a
-~200-byte connection record, not a thread stack — while still answering
-live requests.
+showing the *shape* on one host): one selector-reactor thread holds
+every one of 400 negotiated sessions without starting another thread —
+its per-session cost is a ~200-byte connection record, not a thread
+stack.
 
 EXPERIMENTS.md, E12, records why scans are not parallelised inside a
 party.
@@ -26,12 +25,12 @@ from benchmarks.conftest import report
 from repro.core.zltp import messages as msg
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import SERVER_KINDS, create_tcp_server
+from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex
 
-SESSIONS = 400                   # concurrent negotiated sessions per kind
+SESSIONS = 400                   # concurrent negotiated sessions
 SALT = b"e12-bench"
 
 RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_async_sessions.json"
@@ -65,60 +64,48 @@ def _negotiate_many(address, count: int):
 
 @pytest.fixture(scope="module")
 def results():
-    data = {"experiment": "E12 async sessions", "sessions": []}
+    data = {"experiment": "E12 async sessions", "reactor": {}}
     yield data
     RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
     print(f"\n  wrote {RESULTS_PATH}")
 
 
 def test_e12_sessions_per_thread(benchmark, results):
-    rows = []
-    measured = []
+    measured = {}
 
-    def run_all():
-        measured.clear()
-        for kind in SERVER_KINDS:
-            listener = create_tcp_server(kind, _build_logical())
-            baseline_threads = threading.active_count()
-            try:
-                t0 = time.perf_counter()
-                socks = _negotiate_many(listener.address, SESSIONS)
-                open_seconds = time.perf_counter() - t0
-                deadline = time.monotonic() + 10
-                while listener.active_connections < SESSIONS and \
-                        time.monotonic() < deadline:
-                    time.sleep(0.02)
-                threads = listener.worker_count
-                measured.append({
-                    "kind": kind,
-                    "concurrent_sessions": listener.active_connections,
-                    "service_threads": threads,
-                    "sessions_per_thread":
-                        listener.active_connections / threads,
-                    "process_thread_delta":
-                        threading.active_count() - baseline_threads,
-                    "open_seconds": open_seconds,
-                })
-                for sock in socks:
-                    sock.close()
-            finally:
-                listener.stop()
+    def run_reactor():
+        listener = create_tcp_server("eventloop", _build_logical())
+        baseline_threads = threading.active_count()
+        try:
+            t0 = time.perf_counter()
+            socks = _negotiate_many(listener.address, SESSIONS)
+            open_seconds = time.perf_counter() - t0
+            deadline = time.monotonic() + 10
+            while listener.active_connections < SESSIONS and \
+                    time.monotonic() < deadline:
+                time.sleep(0.02)
+            measured.update({
+                "concurrent_sessions": listener.active_connections,
+                "service_threads": listener.worker_count,
+                "process_thread_delta":
+                    threading.active_count() - baseline_threads,
+                "open_seconds": open_seconds,
+            })
+            for sock in socks:
+                sock.close()
+        finally:
+            listener.stop()
         return measured
 
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    for m in measured:
-        rows.append((
-            f"{m['kind']}: {m['concurrent_sessions']} sessions",
-            f"{m['service_threads']} service thread(s), "
-            f"{m['sessions_per_thread']:.0f} sessions/thread, "
-            f"opened in {m['open_seconds']:.2f} s",
-        ))
-    report("E12: concurrent sessions per service thread", rows)
-    results["sessions"] = measured
-    by_kind = {m["kind"]: m for m in measured}
-    # Shape claim 1: ≥10x sessions-per-thread at equal session count.
-    assert (by_kind["eventloop"]["concurrent_sessions"]
-            >= by_kind["threaded"]["concurrent_sessions"])
-    assert (by_kind["eventloop"]["sessions_per_thread"]
-            >= 10 * by_kind["threaded"]["sessions_per_thread"])
-    assert by_kind["eventloop"]["service_threads"] == 1
+    benchmark.pedantic(run_reactor, rounds=1, iterations=1)
+    report("E12: concurrent sessions on one reactor", [(
+        f"eventloop: {measured['concurrent_sessions']} sessions",
+        f"{measured['service_threads']} service thread(s), "
+        f"{measured['process_thread_delta']} more in the process, "
+        f"opened in {measured['open_seconds']:.2f} s",
+    )])
+    results["reactor"] = measured
+    # Shape claim: every session held, on one thread, starting none.
+    assert measured["concurrent_sessions"] == SESSIONS
+    assert measured["service_threads"] == 1
+    assert measured["process_thread_delta"] <= 0

@@ -112,7 +112,7 @@ def measure_merge_overhead(domain_bits: int = DOMAIN_BITS,
             hist.observe(sp.elapsed, op="scan")
             scans.inc(op="scan")
         # The scrape side: cumulative snapshot, server relabel, merge.
-        merge_into(merged, relabel_snapshot(registry.snapshot(), server=0))
+        merge_into(merged, relabel_snapshot(registry.as_dict(), server=0))
 
     # Each round times both variants back to back, raw leading in one
     # round and instrumented in the next, so a slow stretch lands on the
@@ -136,7 +136,7 @@ def measure_fleet_scrape(fleet_size: int = FLEET_SIZE,
 
     registry = MetricsRegistry()
     registry.counter("shard_scans_total", "shard scans run").inc(8.0)
-    snap = registry.snapshot()
+    snap = registry.as_dict()
 
     sidecars = [
         serve_stats(lambda snap=snap: {"metrics": snap}, port=0)

@@ -103,7 +103,7 @@ def build_fixture():
                         bytes(rng.integers(0, 256, 64, dtype=np.uint8)))
         server = ZltpServer(db, modes=["pir2"], party=party)
         servers.append(server)
-        listeners.append(create_tcp_server("threaded", server, port=0))
+        listeners.append(create_tcp_server("eventloop", server, port=0))
     directory = static_directory(
         "127.0.0.1",
         {"data": [listener.address[1] for listener in listeners]},

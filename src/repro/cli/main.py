@@ -64,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra listeners per endpoint over the same "
                             "logical servers — failover targets for "
                             "resilient clients")
-    serve.add_argument("--server-kind", default=None,
-                       help="session core for every listener: 'eventloop' "
-                            "(one reactor thread multiplexing all "
-                            "sessions; default) or 'threaded' "
-                            "(thread-per-connection fallback)")
     _add_directory_args(
         serve, required=False,
         help_text="announce this deployment's endpoints to a directory "

@@ -27,8 +27,7 @@ from repro.core.discovery import (
     DirectoryClient,
 )
 from repro.core.lightweb.cdn import Cdn
-from repro.core.zltp.eventloop import Reactor
-from repro.core.zltp.serving import DEFAULT_SERVER_KIND, create_tcp_server
+from repro.core.zltp.eventloop import Reactor, ZltpEventLoopServer
 from repro.errors import NegotiationError, ReproError
 from repro.obs.fleet import STATS_IDLE_TIMEOUT, StatsSession
 from repro.obs.logs import (
@@ -75,16 +74,13 @@ class RunningDeployment:
 
     cdn: Cdn
     universe_name: str
-    #: Listener objects satisfy the shared serving interface of
-    #: :mod:`repro.core.zltp.serving`; which flavour backs them is the
-    #: deployment's ``--server-kind`` choice.
-    listeners: Dict[Tuple[str, int], Any]
+    listeners: Dict[Tuple[str, int], ZltpEventLoopServer]
     stats: Optional[Reactor] = field(default=None)
     #: Extra listeners over the *same* logical servers, keyed like
     #: ``listeners``: the failover targets a resilient client dials when
     #: a primary endpoint dies (same salt, geometry, and mode state, so
     #: a reconnect-resume validates against the negotiated session).
-    replicas: Dict[Tuple[str, int], List[Any]] = \
+    replicas: Dict[Tuple[str, int], List[ZltpEventLoopServer]] = \
         field(default_factory=dict)
     #: The periodic directory announcer, when ``--directory`` is wired.
     announcer: Optional[Announcer] = field(default=None)
@@ -225,7 +221,6 @@ def build_deployment(spec_paths: List[str], universe_name: str = "main",
                      modes: Optional[List[str]] = None,
                      stats_port: Optional[int] = None,
                      replicas: int = 0,
-                     server_kind: Optional[str] = None,
                      admission_deadline_seconds: Optional[float] = None,
                      admission_max_queue_depth: int = 64
                      ) -> RunningDeployment:
@@ -244,9 +239,6 @@ def build_deployment(spec_paths: List[str], universe_name: str = "main",
             snapshot on an HTTP sidecar at this port (0 = ephemeral).
         replicas: additional listeners per (kind, party) over the same
             logical servers — failover targets for resilient clients.
-        server_kind: serving flavour for every listener (a name from
-            :data:`repro.core.zltp.serving.SERVER_KINDS`); default is the
-            event-loop session core.
         admission_deadline_seconds: when given, attach an
             :class:`~repro.core.zltp.admission.AdmissionController` with
             this deadline to every *data* logical server, so GETs that
@@ -298,8 +290,8 @@ def build_deployment(spec_paths: List[str], universe_name: str = "main",
                 server.admission = AdmissionController(
                     deadline_seconds=admission_deadline_seconds,
                     max_queue_depth=admission_max_queue_depth)
-            listeners[(kind, party)] = create_tcp_server(
-                server_kind, server, host=host, port=port)
+            listeners[(kind, party)] = ZltpEventLoopServer(
+                server, host=host, port=port)
             offset += 1
     # Replica listeners share the logical servers (the cdn caches them
     # per (universe, kind, party)), so a client failing over mid-session
@@ -311,8 +303,7 @@ def build_deployment(spec_paths: List[str], universe_name: str = "main",
                 port = port_base + offset if port_base else 0
                 server = cdn._server(universe_name, kind, party)
                 replica_map.setdefault((kind, party), []).append(
-                    create_tcp_server(server_kind, server, host=host,
-                                      port=port))
+                    ZltpEventLoopServer(server, host=host, port=port))
                 offset += 1
     deployment = RunningDeployment(cdn=cdn, universe_name=universe_name,
                                    listeners=listeners, replicas=replica_map)
@@ -391,7 +382,6 @@ def cmd_serve(args) -> int:
         modes=parse_modes(getattr(args, "modes", None)),
         stats_port=getattr(args, "stats_port", None),
         replicas=getattr(args, "replicas", 0),
-        server_kind=getattr(args, "server_kind", None),
         admission_deadline_seconds=getattr(args, "admission_deadline", None),
         admission_max_queue_depth=getattr(args, "admission_queue_depth", 64),
     )
@@ -406,7 +396,6 @@ def cmd_serve(args) -> int:
     emit(f"universe {args.universe!r}: {universe.n_pages} data blobs, "
          f"domains {universe.domains()}")
     emit(f"modes         : {', '.join(deployment.cdn.modes)}")
-    emit(f"session core  : {getattr(args, 'server_kind', None) or DEFAULT_SERVER_KIND}")
     emit(f"code sessions : ports {ports['code']}")
     emit(f"data sessions : ports {ports['data']}")
     if deployment.replicas:

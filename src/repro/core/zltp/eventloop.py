@@ -1,13 +1,11 @@
 """The reactor: one selector thread per listener, multiplexing its sessions.
 
-The thread-per-connection :class:`~repro.core.zltp.sockets.ZltpTcpServer`
-was the right prototype — a PIR answer is a linear database scan, so a
-handful of connections saturate the scan path long before threads matter.
-The paper's deployment story (§5.2) is different: a front-end holding
-*many* mostly-idle client sessions open at once while fanning each request
-out to hundreds of data servers. A thread per idle session spends a stack
-and a scheduler slot on a connection that is doing nothing; this module
-spends a ~200-byte :class:`_Connection` record instead.
+The paper's deployment story (§5.2) is a front-end holding *many*
+mostly-idle client sessions open at once while fanning each request out
+to hundreds of data servers. A thread per idle session would spend a
+stack and a scheduler slot on a connection that is doing nothing; this
+module spends a ~200-byte :class:`_Connection` record instead, and it is
+the only socket loop that serves ZLTP.
 
 :class:`Reactor` runs a single thread over a ``selectors.DefaultSelector``
 (epoll on Linux) for one listening socket, and gives each connection a
@@ -17,19 +15,21 @@ session from its ``session_factory``: any sans-IO object with the
 ``close()``, ``closed``). ZLTP (:class:`ZltpEventLoopServer`), the
 directory and the stats listener are its three session kinds.
 
-- the listener and every client socket are non-blocking; every chunk
-  read goes to ``session.receive``, which owns framing and every error
-  reply, so frames that arrive together still reach the single-pass
-  batched scan as one burst;
+- the listener and every client socket are non-blocking; a tick reads
+  one chunk from every ready connection first and only then serves them,
+  in arrival order (:meth:`Reactor._tick`: each session's ``receive`` by
+  default; :meth:`~repro.core.zltp.server.ZltpServer.tick` for ZLTP, whose
+  admission gate thereby sees every run of the tick). The session owns
+  framing and every error reply, so frames that arrive together still
+  reach the single-pass batched scan as one burst;
 - replies accumulate in a per-connection write buffer which drains on
   writability — a slow reader backs pressure into its own buffer, never
   into a blocked thread;
 - sessions idle past ``idle_timeout`` are expired (whatever the session
   writes is sent best-effort) and closed: a reactor cannot afford
   parked-forever peers holding fds;
-- :meth:`Reactor.stop` has the same deterministic discipline as the
-  threaded server: wake the reactor, drain it, join it, and leave no
-  socket open.
+- :meth:`Reactor.stop` is deterministic: wake the reactor, drain it,
+  join it, and leave no socket open.
 
 Thread discipline: all per-connection state (the selector, the connection
 table, sessions, write buffers) is *owned by the reactor thread* — only
@@ -45,7 +45,7 @@ import selectors
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.sockets import set_nodelay
@@ -117,9 +117,16 @@ class Reactor:
     @property
     def worker_count(self) -> int:
         """Service threads — always exactly one reactor, regardless of
-        session count (the number the E12 bench contrasts with
-        thread-per-connection)."""
+        session count (the number the E12 smoke checks)."""
         return 1 if self._thread.is_alive() else 0
+
+    def _tick(self, reads: List[Tuple[Any, bytes]]
+              ) -> Iterator[Tuple[int, bytes]]:
+        """Serve one tick's ``(session, chunk)`` reads in arrival order,
+        yielding ``(index, reply bytes)`` per read: by default each
+        session's ``receive``, one after the other."""
+        for index, (session, chunk) in enumerate(reads):
+            yield index, session.receive(chunk)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Shut down deterministically (idempotent).
@@ -155,6 +162,7 @@ class Reactor:
         last_sweep = time.monotonic()
         try:
             while not self._stopping.is_set():
+                reads = []
                 for key, mask in self._selector.select(timeout=sweep):
                     if key.data == "accept":
                         self._react_accept()
@@ -169,7 +177,11 @@ class Reactor:
                             self._react_flush(conn)
                         if mask & selectors.EVENT_READ and \
                                 conn.sock.fileno() != -1:
-                            self._react_read(conn)
+                            chunk = self._react_read(conn)
+                            if chunk:
+                                reads.append((conn, chunk))
+                if reads:
+                    self._react_serve(reads)
                 now = time.monotonic()
                 if sweep is not None and now - last_sweep >= sweep:
                     self._react_sweep_idle(now)
@@ -204,20 +216,30 @@ class Reactor:
             except (ValueError, KeyError, OSError):
                 self._react_teardown(conn)
 
-    def _react_read(self, conn: _Connection) -> None:
+    def _react_read(self, conn: _Connection) -> Optional[bytes]:
+        """One chunk from a readable connection, or None after handling a
+        hang-up or a socket error."""
         try:
             chunk = conn.sock.recv(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
-            return
+            return None
         except OSError:
             self._react_teardown(conn)
-            return
+            return None
         if not chunk:
             self._react_hangup(conn, conn.session.end_of_stream())
-            return
+            return None
         conn.last_activity = time.monotonic()
-        conn.outbuf += conn.session.receive(chunk)
-        self._react_flush(conn)
+        return chunk
+
+    def _react_serve(self, reads: List[Tuple[_Connection, bytes]]) -> None:
+        """Serve the tick's reads, writing each session's replies as soon
+        as they are yielded, before the next session is answered."""
+        for index, replies in self._tick([(conn.session, chunk)
+                                          for conn, chunk in reads]):
+            conn = reads[index][0]
+            conn.outbuf += replies
+            self._react_flush(conn)
 
     def _react_hangup(self, conn: _Connection, last: bytes) -> None:
         """Send what is queued plus ``last`` best-effort, then tear down."""
@@ -314,9 +336,9 @@ class Reactor:
 class ZltpEventLoopServer(Reactor):
     """Serve a logical ZLTP server from one reactor.
 
-    Drop-in for :class:`~repro.core.zltp.sockets.ZltpTcpServer` behind the
-    shared serving interface; the difference is purely architectural —
-    thousands of concurrent sessions cost one thread, not thousands.
+    Thousands of concurrent sessions cost one thread, and each tick is
+    served through :meth:`ZltpServer.tick`, so the server's admission
+    gate rules on every session's GET run of the tick in arrival order.
 
     Attributes:
         server: the logical :class:`ZltpServer` being exposed.
@@ -330,6 +352,10 @@ class ZltpEventLoopServer(Reactor):
         _log.info("zltp eventloop endpoint listening", extra={
             "host": self.address[0], "port": self.address[1],
             "modes": list(server.modes)})
+
+    def _tick(self, reads: List[Tuple[Any, bytes]]
+              ) -> Iterator[Tuple[int, bytes]]:
+        return self.server.tick(reads)
 
 
 __all__ = ["Reactor", "ZltpEventLoopServer"]

@@ -18,16 +18,17 @@ per-mode on the server (:meth:`ZltpServer.stats_by_mode`).
 
 :class:`ZltpServerSession` is the one protocol core: bytes in, reply bytes
 out, with no sockets, clocks or threads. It owns the frame decoder and
-decides every error reply, so each TCP listener is only a socket loop that
-moves bytes between a connection and :meth:`ZltpServerSession.receive`,
-and every listener puts the same frames on the wire.
+decides every error reply, so the reactor is only a socket loop that moves
+the bytes it read in one tick through :meth:`ZltpServer.tick`, and the
+in-process link puts the same frames on the wire through
+:meth:`ZltpServerSession.receive`, the tick of one session.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +85,8 @@ class ZltpServer:
             :class:`~repro.core.zltp.admission.AdmissionController`; when
             attached, GETs that would blow their deadline are shed with a
             fast ``ErrorMessage("overload")`` instead of queued behind a
-            doomed scan. One gate covers every serving kind, because the
-            check sits in the shared session state machine.
+            doomed scan. It rules on each tick's GET runs in arrival
+            order (:meth:`tick`), so it sees every session of the tick.
     """
 
     def __init__(
@@ -116,9 +117,9 @@ class ZltpServer:
         self._rng = rng
         self._options: Dict[str, Any] = dict(options or {})
         self._mode_servers: Dict[str, Any] = {}
-        # One logical server is shared by every connection thread of a
-        # ZltpTcpServer, so the stats counters are read-modify-written
-        # concurrently and need their own lock.
+        # Replica listeners serve one logical server from several reactor
+        # threads, and stats scrapes read it from another, so the
+        # counters are read-modify-written concurrently and need a lock.
         self._stats_lock = threading.Lock()
         self.sessions_opened = 0  # guarded-by: _stats_lock
         self.sessions_closed = 0  # guarded-by: _stats_lock
@@ -258,6 +259,44 @@ class ZltpServer:
             self.sessions_opened += 1
         return ZltpServerSession(self)
 
+    def tick(self, reads: Sequence[Tuple["ZltpServerSession", bytes]]
+             ) -> Iterator[Tuple[int, bytes]]:
+        """Serve one listener tick: the chunks read from ready sessions,
+        in arrival order.
+
+        Every session first decodes its chunk and handles its frames up
+        to its first run of GETs. The admission gate then rules on the
+        tick's runs in arrival order, so each run's queue depth counts the
+        runs admitted ahead of it. Last, each session's run is answered,
+        or shed with one ``overload`` per GET, and the rest of its frames
+        handled; its reply bytes are yielded as ``(index into reads,
+        bytes)`` before the next run is answered, so the listener writes
+        them first. :meth:`ZltpServerSession.receive` is the tick of one
+        session.
+        """
+        staged = [session._read(data) for session, data in reads]
+        verdicts = [self._admit(run) for _head, run, _rest in staged]
+        served = 0
+        try:
+            for index, (session, _data) in enumerate(reads):
+                replies = session._write(*staged[index], verdicts[index])
+                served = index + 1
+                yield index, replies
+        finally:
+            # A tick abandoned part-way still balances its admits: a
+            # leaked one would hold the gate busy (and shedding) for good.
+            for (_head, run, _rest), verdict in zip(staged[served:],
+                                                    verdicts[served:]):
+                if run and verdict is None and self.admission is not None:
+                    self.admission.release(len(run))
+
+    def _admit(self, run: List[msg.GetRequest]) -> Optional[str]:
+        """The gate's ruling on one run: None answers it, a public detail
+        string sheds it. The one place a GET is admitted."""
+        if not run or self.admission is None:
+            return None
+        return self.admission.try_admit(len(run))
+
 
 #: (RequestStats field, counter name, help) of each per-mode series.
 _MODE_SERIES = (
@@ -305,7 +344,7 @@ def _stats_metrics(stats: Dict[str, Any]) -> Dict[str, Any]:
         registry.gauge(
             "admission_queue_depth", "Queries admitted and not yet finished",
         ).set(gate["queue_depth"])
-    return registry.snapshot()
+    return registry.as_dict()
 
 
 class ZltpServerSession:
@@ -358,25 +397,48 @@ class ZltpServerSession:
     def receive(self, data: bytes) -> bytes:
         """Feed bytes read from the peer; return the encoded replies.
 
-        Complete frames are answered as one burst through
-        :meth:`handle_frames`. An oversized frame declaration cannot be
-        resynchronised, so it gets a ``bad-frame`` reply and closes the
-        session; so does any exception from the handler, as ``internal``
-        (logged once, since that one is a server bug).
+        The tick of one session (:meth:`ZltpServer.tick`): complete
+        frames are handled as one burst, each run of GETs admitted and
+        answered with one batched scan.
+        """
+        [(_index, replies)] = self._server.tick([(self, data)])
+        return replies
+
+    def _read(self, data: bytes
+              ) -> Tuple[bytes, List[msg.GetRequest], List[bytes]]:
+        """A tick's first phase: decode ``data`` and handle its frames up
+        to the first run of GETs.
+
+        Returns the encoded replies so far, the run and the frames after
+        it. An oversized frame declaration cannot be resynchronised, so it
+        gets a ``bad-frame`` reply and closes the session; so does any
+        exception from the handler, as ``internal`` (logged once, since
+        that one is a server bug).
         """
         if self._state is _State.CLOSED:
-            return b""
+            return b"", [], []
         try:
             frames = self._decoder.feed(data)
         except TransportError as exc:
-            return self._fail("bad-frame", str(exc))
-        if not frames:
-            return b""
+            return self._fail("bad-frame", str(exc)), [], []
         try:
-            return encode_frames(self.handle_frames(frames))
+            replies, run, rest = self._take_run(frames)
         except Exception as exc:
-            _log.exception("session handler failed")
-            return self._fail("internal", str(exc))
+            return self._internal(exc), [], []
+        return encode_frames(replies), run, rest
+
+    def _write(self, head: bytes, run: List[msg.GetRequest],
+               rest: List[bytes], verdict: Optional[str]) -> bytes:
+        """A tick's last phase: answer or shed the run, handle the frames
+        after it, and return every reply of this session's tick."""
+        try:
+            return head + encode_frames(self._finish(run, verdict, rest))
+        except Exception as exc:
+            return self._internal(exc)
+
+    def _internal(self, exc: Exception) -> bytes:
+        _log.exception("session handler failed")
+        return self._fail("internal", str(exc))
 
     def end_of_stream(self) -> bytes:
         """The peer hung up: close, reporting a partial frame if one is
@@ -412,38 +474,58 @@ class ZltpServerSession:
         return self._mode_name
 
     def handle_frames(self, frames: List[bytes]) -> List[bytes]:
-        """Handle a burst of frames, batching pipelined GETs into one scan.
+        """Handle a burst of whole frames; return the reply messages.
 
-        This is the session's only frame entry point: every transport
-        hands over whatever frames it has, one or many. Runs of
+        The tick of one session for a transport that already delivers
+        whole frames; an exception from the handler propagates. Runs of
         consecutive GetRequests in the ready state are answered with one
         ``answer_batch`` call, so the mode's single-pass batch scan serves
         them in one walk over the database (§5.1); a lone GET is a batch
-        of one. Any other message flushes the pending run and goes through
-        the one-message state machine (:meth:`handle`).
+        of one.
+        """
+        replies, run, rest = self._take_run(frames)
+        return replies + self._finish(run, self._server._admit(run), rest)
+
+    def _take_run(self, frames: List[bytes]
+                  ) -> Tuple[List[bytes], List[msg.GetRequest], List[bytes]]:
+        """Handle frames up to the next run of GetRequests.
+
+        Returns the replies so far, the run (consecutive GETs in the ready
+        state, possibly empty) and the frames after it, which wait until
+        the run is answered. Any other message goes through the
+        one-message state machine (:meth:`handle`).
         """
         replies: List[bytes] = []
-        pending: List[msg.GetRequest] = []
-        for frame in frames:
+        run: List[msg.GetRequest] = []
+        for index, frame in enumerate(frames):
             if self._state is _State.CLOSED:
                 break
             try:
                 message = msg.decode_message(frame)
             except ProtocolError as exc:
-                replies.extend(self._flush_gets(pending))
+                if run:
+                    return replies, run, frames[index:]
                 self._mark_closed()
-                replies.append(
-                    msg.encode_message(msg.ErrorMessage("bad-message", str(exc)))
-                )
-                return replies
-            if isinstance(message, msg.GetRequest) and self._state is _State.READY:
-                pending.append(message)
-                continue
-            replies.extend(self._flush_gets(pending))
-            if self._state is _State.CLOSED:
+                replies.append(msg.encode_message(
+                    msg.ErrorMessage("bad-message", str(exc))))
                 break
-            replies.extend(msg.encode_message(reply) for reply in self.handle(message))
-        replies.extend(self._flush_gets(pending))
+            if isinstance(message, msg.GetRequest) and \
+                    self._state is _State.READY:
+                run.append(message)
+            elif run:
+                return replies, run, frames[index:]
+            else:
+                replies.extend(msg.encode_message(reply)
+                               for reply in self.handle(message))
+        return replies, run, []
+
+    def _finish(self, run: List[msg.GetRequest], verdict: Optional[str],
+                rest: List[bytes]) -> List[bytes]:
+        """Answer or shed the run, then handle the frames after it (a
+        tick of their own)."""
+        replies = self._answer(run, verdict)
+        if rest:
+            replies += self.handle_frames(rest)
         return replies
 
     def _account(self, delta: RequestStats) -> None:
@@ -452,28 +534,27 @@ class ZltpServerSession:
         if self._mode_name is not None:
             self._server.record_stats(self._mode_name, delta)
 
-    def _flush_gets(self, pending: List[msg.GetRequest]) -> List[bytes]:
-        """Answer a run of pipelined GetRequests in one batched scan."""
-        if not pending:
+    def _answer(self, run: List[msg.GetRequest],
+                verdict: Optional[str]) -> List[bytes]:
+        """Answer an admitted run of pipelined GetRequests in one batched
+        scan, or shed it when the gate's ``verdict`` is a detail string."""
+        if not run:
             return []
-        batch, pending[:] = list(pending), []
+        if verdict is not None:
+            # Shed the whole run: one error per request preserves the
+            # 1:1 request/reply pairing, and the session stays READY —
+            # overload is the *server's* state, not a client fault.
+            shed = msg.encode_message(msg.ErrorMessage("overload", verdict))
+            return [shed] * len(run)
         gate = self._server.admission
-        if gate is not None:
-            detail = gate.try_admit(len(batch))
-            if detail is not None:
-                # Shed the whole run: one error per request preserves the
-                # 1:1 request/reply pairing, and the session stays READY —
-                # overload is the *server's* state, not a client fault.
-                shed = msg.encode_message(msg.ErrorMessage("overload", detail))
-                return [shed] * len(batch)
         delta = RequestStats()
         service_seconds = None
         try:
             with self._server.flight.capture():
                 with span("zltp.session.get_batch", mode=self._mode_name,
-                          batch=len(batch)) as sp:
+                          batch=len(run)) as sp:
                     answers = timed_answer_batch(
-                        self._mode, [g.payload for g in batch], delta
+                        self._mode, [g.payload for g in run], delta
                     )
                     sp.annotate(queries=delta.queries,
                                 bytes_up=delta.bytes_up,
@@ -486,13 +567,13 @@ class ZltpServerSession:
             # Every admit is balanced, however the batch ended: a leaked
             # admission would hold the gate busy (and shedding) for good.
             if gate is not None:
-                gate.release(len(batch), service_seconds=service_seconds)
+                gate.release(len(run), service_seconds=service_seconds)
         self._account(delta)
         return [
             msg.encode_message(
                 msg.GetResponse(request_id=request.request_id, payload=answer)
             )
-            for request, answer in zip(batch, answers)
+            for request, answer in zip(run, answers)
         ]
 
     def handle(self, message) -> List[Any]:
@@ -523,8 +604,8 @@ class ZltpServerSession:
         # READY state.
         if isinstance(message, msg.SetupRequest):
             return [msg.SetupResponse(params=self._mode.setup())]
-        # GetRequests are answered only by handle_frames, through
-        # _flush_gets; one handed to handle() directly is refused here.
+        # GetRequests are answered only in a tick's run (_take_run); one
+        # handed to handle() directly is refused here.
         raise ProtocolError(f"unexpected {type(message).__name__} in ready state")
 
     def _do_hello(self, hello: msg.ClientHello) -> msg.ServerHello:

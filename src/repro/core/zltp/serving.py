@@ -1,29 +1,16 @@
-"""The TCP serving flavours behind one shared interface.
+"""Put a logical ZLTP server on a TCP port.
 
-Two socket loops put a :class:`~repro.core.zltp.server.ZltpServer` on a
-port, and both are thin: the session
-(:meth:`~repro.core.zltp.server.ZltpServerSession.receive`) owns framing
-and every error reply, so they put the same frames on the wire. The
-event-loop reactor
-(:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`) is the default
-session core. The thread-per-connection
-:class:`~repro.core.zltp.sockets.ZltpTcpServer` is the blocking adapter,
-and it stays for one reason: the admission gate. The reactor admits,
-answers and releases each session's batch on its one thread, so under
-concurrent clients the gate's in-flight count is 0 at every admit
-decision and it can never shed: the queue waits unseen in kernel socket
-buffers. Only the threaded core runs batches side by side, which is why
-the load-shedding checks (the E16 smoke and the CLI's overload test)
-still serve on ``"threaded"``. Both satisfy the same serving interface:
+One socket loop serves ZLTP: the reactor
+(:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`). It reads every
+ready connection in a tick before it answers any of them, and
+:meth:`~repro.core.zltp.server.ZltpServer.tick` then admits the tick's
+GET runs in arrival order, so the admission gate sees the queue that
+concurrent clients form. The listener has
 
 - constructor ``(server, host=..., port=..., idle_timeout=...)``,
 - ``address`` / ``server`` attributes,
 - ``active_connections``, ``worker_count``,
 - deterministic, idempotent ``stop(timeout)``.
-
-Deployments pick a flavour by name (``lightweb serve --server-kind``),
-and benchmarks and the integration suite iterate :data:`SERVER_KINDS`
-to run both on identical workloads.
 """
 
 from __future__ import annotations
@@ -32,44 +19,28 @@ from typing import Any, Optional
 
 from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer
 from repro.errors import ReproError
-
-#: The session core new deployments get unless they ask otherwise.
-DEFAULT_SERVER_KIND = "eventloop"
-
-#: Every serving flavour by name, default first.
-SERVER_KINDS = {
-    "eventloop": ZltpEventLoopServer,
-    "threaded": ZltpTcpServer,
-}
 
 
 def create_tcp_server(kind: Optional[str], server: ZltpServer,
                       host: str = "127.0.0.1", port: int = 0,
-                      **kwargs: Any):
-    """Build a TCP listener of the chosen flavour over a logical server.
+                      **kwargs: Any) -> ZltpEventLoopServer:
+    """Build the reactor listener over a logical server.
 
     Args:
-        kind: a name in :data:`SERVER_KINDS`, or None for the default.
+        kind: None or ``"eventloop"``, the one socket loop.
         server: the logical ZLTP server to expose.
-        host / port: as on both server constructors.
+        host / port: as on :class:`ZltpEventLoopServer`.
         kwargs: passed through verbatim (``idle_timeout``).
 
     Raises:
-        ReproError: on an unknown kind name.
+        ReproError: on any other kind.
     """
-    chosen = kind if kind is not None else DEFAULT_SERVER_KIND
-    factory = SERVER_KINDS.get(chosen)
-    if factory is None:
-        known = ", ".join(sorted(SERVER_KINDS))
+    if kind not in (None, "eventloop"):
         raise ReproError(
-            f"unknown server kind {chosen!r} (registered: {known})")
-    return factory(server, host=host, port=port, **kwargs)
+            f"unknown server kind {kind!r} (the one socket loop is "
+            f"'eventloop')")
+    return ZltpEventLoopServer(server, host=host, port=port, **kwargs)
 
 
-__all__ = [
-    "DEFAULT_SERVER_KIND",
-    "SERVER_KINDS",
-    "create_tcp_server",
-]
+__all__ = ["create_tcp_server"]

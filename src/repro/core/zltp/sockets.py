@@ -1,29 +1,23 @@
-"""Real TCP transport for ZLTP — the protocol on an actual network stack.
+"""Real TCP transport for ZLTP — the client side of an actual network stack.
 
 The in-process :class:`~repro.netsim.simnet.SimLink` is what most tests
 use, but ZLTP is an application-layer network protocol and should run over
-real sockets too.
-:class:`ZltpTcpServer` serves a :class:`~repro.core.zltp.server.ZltpServer`
-on a listening socket (one thread per connection — plenty for a prototype
-whose per-request cost is a linear database scan), and :func:`connect_tcp`
-returns a blocking :class:`TcpTransport` usable directly by
-:class:`~repro.core.zltp.client.ZltpClient`.
+real sockets too. The reactor
+(:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`) serves it, and
+:func:`connect_tcp` returns a blocking :class:`TcpTransport` usable
+directly by :class:`~repro.core.zltp.client.ZltpClient`.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.wire import FrameDecoder, encode_frames
 from repro.errors import TransportError
-from repro.obs.logs import get_logger
 
 _RECV_CHUNK = 65536
-
-_log = get_logger(__name__)
 
 
 def set_nodelay(sock: socket.socket) -> None:
@@ -136,150 +130,6 @@ class TcpTransport:
         return self._bytes_received
 
 
-class ZltpTcpServer:
-    """Serve a logical ZLTP server on a TCP listening socket.
-
-    The blocking adapter over :class:`~repro.core.zltp.server.ZltpServerSession`:
-    one thread per connection moves bytes between its socket and the
-    session, which decides every reply. Connection threads are tracked and
-    pruned as they finish (no unbounded ``_threads`` growth), live sockets
-    are registered so :meth:`stop` can shut every open connection down and
-    join every worker deterministically.
-    """
-
-    def __init__(self, server: ZltpServer, host: str = "127.0.0.1", port: int = 0,
-                 idle_timeout: Optional[float] = None):
-        """Bind and start accepting in a background thread.
-
-        Args:
-            server: the logical server to expose.
-            host: bind address.
-            port: bind port; 0 picks a free ephemeral port.
-            idle_timeout: reap a connection that sends nothing for this
-                long. None (the default) blocks forever — a parked client
-                costs a thread but is never killed by an arbitrary
-                constant.
-        """
-        self.server = server
-        self.idle_timeout = idle_timeout
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._threads: list = []  # guarded-by: _lock
-        self._conns: set = set()  # guarded-by: _lock
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        _log.info("zltp endpoint listening", extra={
-            "host": self.address[0], "port": self.address[1],
-            "modes": list(server.modes)})
-
-    @property
-    def worker_count(self) -> int:
-        """Live connection-handler threads (finished ones are pruned)."""
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            return len(self._threads)
-
-    @property
-    def active_connections(self) -> int:
-        """Currently open client connections."""
-        with self._lock:
-            return len(self._conns)
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            if self._stopping.is_set():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            with self._lock:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                self._threads.append(thread)
-                self._conns.add(conn)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        session = self.server.create_session()
-        try:
-            set_nodelay(conn)
-            conn.settimeout(self.idle_timeout)
-            while not session.closed and not self._stopping.is_set():
-                try:
-                    chunk = conn.recv(_RECV_CHUNK)
-                except socket.timeout:
-                    conn.sendall(session.expire())
-                    return
-                if not chunk:
-                    conn.sendall(session.end_of_stream())
-                    return
-                conn.sendall(session.receive(chunk))
-        except OSError:
-            return
-        finally:
-            # Every exit path — peer close, OSError, timeout, clean Bye —
-            # tears the server-side session down so the logical server's
-            # session accounting balances.
-            session.close()
-            with self._lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Shut down deterministically: listener, live connections, workers.
-
-        Stops accepting, shuts every open connection (unblocking any worker
-        parked in ``recv``), then joins the accept thread and every worker.
-        Safe to call more than once.
-        """
-        self._stopping.set()
-        # shutdown() (not just close()) wakes a thread blocked in accept().
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns = list(self._conns)
-            threads = list(self._threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._accept_thread.join(timeout)
-        for thread in threads:
-            thread.join(timeout)
-        with self._lock:
-            for conn in list(self._conns):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                self._conns.discard(conn)
-            self._threads = [t for t in self._threads if t.is_alive()]
-        _log.info("zltp endpoint stopped", extra={
-            "host": self.address[0], "port": self.address[1]})
-
-
 def connect_tcp(host: str, port: int, timeout: Optional[float] = 10.0,
                 io_timeout: Optional[float] = None) -> TcpTransport:
     """Open a TCP connection to a ZLTP server and wrap it as a transport.
@@ -304,4 +154,4 @@ def connect_tcp(host: str, port: int, timeout: Optional[float] = 10.0,
     return TcpTransport(sock, name=f"tcp:{host}:{port}")
 
 
-__all__ = ["TcpTransport", "ZltpTcpServer", "connect_tcp"]
+__all__ = ["TcpTransport", "connect_tcp"]

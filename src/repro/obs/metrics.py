@@ -3,7 +3,7 @@
 Each counted event lives once, on the object that owns it (a logical
 server's per-mode ``RequestStats``, its session and frame counters, an
 admission gate's tallies). A scrape builds a fresh :class:`MetricsRegistry` from those
-counters and ships its :meth:`MetricsRegistry.snapshot`, so two
+counters and ships its :meth:`MetricsRegistry.as_dict`, so two
 logical servers in one process each export only their own numbers.
 Snapshots fold together with :func:`merge_into`, gain fixed labels with
 :func:`relabel_snapshot`, and render as a Prometheus-style text
@@ -185,7 +185,7 @@ class Histogram:
 def merge_into(dst: Dict[str, Any], src: Dict[str, Any]) -> Dict[str, Any]:
     """Fold one registry snapshot into another, in place.
 
-    Snapshots are the JSON-ready form :meth:`MetricsRegistry.snapshot`
+    Snapshots are the JSON-ready form :meth:`MetricsRegistry.as_dict`
     returns — the same dicts ``/metrics.json`` serves — so ``lightweb
     top`` merges fleet scrapes with the same code a single process
     would use. Semantics per kind:
@@ -363,19 +363,12 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot of every registered metric."""
+        """JSON-ready snapshot of every registered metric: the mergeable
+        wire format a stats sidecar serves and fleet scrapers merge
+        (:func:`merge_into`)."""
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.as_dict() for name, metric in sorted(metrics)}
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The registry's mergeable snapshot (see :func:`merge_into`).
-
-        Identical to :meth:`as_dict` — named separately because this is
-        the cross-process wire format: a stats sidecar serves it and
-        fleet scrapers merge whole servers' worth of it.
-        """
-        return self.as_dict()
 
 
 __all__ = [

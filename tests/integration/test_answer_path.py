@@ -1,9 +1,9 @@
 """One answer path: a GET reaches its backend the same way on every transport.
 
-The same hello + 3 GETs go through five deliveries: an in-process
+The same hello + 3 GETs go through four deliveries: an in-process
 ``SimLink`` end, a direct ``create_session().handle_frames``, the
-byte-level ``create_session().receive`` the TCP listeners drive, and TCP on
-both session cores. The GetResponse frames must be byte-identical (the
+byte-level ``create_session().receive`` (a one-session tick), and TCP to
+the reactor. The GetResponse frames must be byte-identical (the
 enclave seals with fresh randomness, so there the decoded records must
 match instead). Every mode server's single-request ``answer`` is swapped
 for a spy that raises, so a delivery that still took a one-GET path fails.
@@ -52,26 +52,23 @@ def via_receive(server, frames):
     return FrameDecoder().feed(replies)
 
 
-def via_tcp(kind):
-    def deliver(server, frames):
-        listener = create_tcp_server(kind, server)
-        try:
-            transport = connect_tcp(*listener.address)
-            transport.send_frames(frames)
-            replies = [transport.recv_frame() for _ in frames]
-            transport.close()
-        finally:
-            listener.stop()
-        return replies
-    return deliver
+def via_tcp(server, frames):
+    listener = create_tcp_server("eventloop", server)
+    try:
+        transport = connect_tcp(*listener.address)
+        transport.send_frames(frames)
+        replies = [transport.recv_frame() for _ in frames]
+        transport.close()
+    finally:
+        listener.stop()
+    return replies
 
 
 DELIVERIES = {
     "simlink": via_simlink,
     "handle_frames": via_handle_frames,
     "receive": via_receive,
-    "tcp-eventloop": via_tcp("eventloop"),
-    "tcp-threaded": via_tcp("threaded"),
+    "tcp-eventloop": via_tcp,
 }
 
 

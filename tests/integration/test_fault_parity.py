@@ -1,9 +1,9 @@
-"""Fault parity: every session core answers a broken peer the same way.
+"""Fault parity: the reactor and the in-process link answer a broken peer the same way.
 
 Error replies are part of the wire shape, and the session
 (``ZltpServerSession.receive``/``end_of_stream``/``expire``) decides all of
 them, so a listener is only a socket loop. Each fault below is driven over
-raw TCP against both kinds, and as raw bytes on an in-process ``SimLink``
+raw TCP against the reactor, and as raw bytes on an in-process ``SimLink``
 end, with the idle timeout on the link's virtual clock: every delivery must
 send the same one error frame, close the connection, and leave the logical
 server's accounting balanced.
@@ -32,7 +32,7 @@ from repro.core.zltp import messages as msg
 from repro.core.zltp.eventloop import Reactor
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import SERVER_KINDS, create_tcp_server
+from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.errors import TransportError
 from repro.netsim.simnet import SimLink
@@ -86,7 +86,7 @@ LINK_FAULTS = {
     "handler-raises": lambda end: end.write(HELLO),
 }
 
-KINDS = list(SERVER_KINDS) + ["simlink"]
+KINDS = ["eventloop", "simlink"]
 
 
 def make_logical():

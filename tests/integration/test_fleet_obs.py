@@ -29,7 +29,8 @@ from repro.core.discovery import (
 )
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import connect_tcp
 from repro.obs.fleet import scrape_server, targets_from_records
 from repro.obs.metrics import snapshot_total
 from repro.pir.database import BlobDatabase
@@ -58,7 +59,7 @@ def fleet():
     for party in (0, 1):
         server = ZltpServer(db, modes=["pir2"], party=party,
                             options={"prefix_bits": 1})
-        listeners.append(ZltpTcpServer(server))
+        listeners.append(ZltpEventLoopServer(server))
         sidecars.append(serve_stats(server.stats_snapshot,
                                     traces=server.flight.export))
 

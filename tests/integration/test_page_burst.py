@@ -62,8 +62,8 @@ class RecordingTransport:
         return self.inner.bytes_received
 
 
-@pytest.fixture(params=["threaded", "eventloop"])
-def world(request):
+@pytest.fixture
+def world():
     cdn = Cdn("burst-cdn", modes=[MODE_PIR2])
     cdn.create_universe("u", data_domain_bits=8, code_domain_bits=5,
                         data_blob_size=2048, code_blob_size=8192,
@@ -91,7 +91,7 @@ def world(request):
     publisher.push(cdn, "u")
 
     listeners = {(kind, party): create_tcp_server(
-        request.param, cdn._server("u", kind, party))
+        "eventloop", cdn._server("u", kind, party))
         for kind in ("code", "data") for party in PARTIES}
     taps = {}
 

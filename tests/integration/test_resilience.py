@@ -29,7 +29,7 @@ from repro.core.resilience import (
 )
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.serving import create_tcp_server
 from repro.crypto.dpf import gen_dpf
 from repro.errors import DeadlineError, TransportError
@@ -207,7 +207,8 @@ class TestTcpKillAndReconnect:
     def test_session_killed_mid_pipelined_batch_completes(self):
         db = build_db()
         servers = party_servers(db)
-        listeners = [ZltpTcpServer(server) for server in servers]
+        listeners = [create_tcp_server("eventloop", server)
+                     for server in servers]
         reads = itertools.count()
 
         def dial_faulty():
@@ -319,14 +320,12 @@ class TestEndpointFailoverAcceptance:
     with the retries counted on the client's own transport.
     """
 
-    @pytest.mark.parametrize("server_kind", ["threaded", "eventloop"])
-    def test_killed_endpoint_fails_over_with_identical_records(
-            self, server_kind):
+    def test_killed_endpoint_fails_over_with_identical_records(self):
         db = build_db()
         logical = party_servers(db)
-        primaries = [create_tcp_server(server_kind, server)
+        primaries = [create_tcp_server("eventloop", server)
                      for server in logical]
-        replicas = [create_tcp_server(server_kind, server)
+        replicas = [create_tcp_server("eventloop", server)
                     for server in logical]
         policy_args = dict(max_attempts=6, base_delay=0.01, jitter=0.0)
         try:

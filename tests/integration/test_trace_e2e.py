@@ -1,6 +1,6 @@
 """One private GET, traced end to end through a live TCP deployment.
 
-Drives a real ``ZltpClient.get`` through two ``ZltpTcpServer`` listeners
+Drives a real ``ZltpClient.get`` through two reactor listeners
 (one per pir2 party) whose pir2 mode servers run the §5.2 sharded stack
 (``prefix_bits=2`` → front-end + 4 data servers), and asserts the
 exported trace is the nested span tree the observability design promises:
@@ -22,7 +22,8 @@ import pytest
 
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import connect_tcp
 from repro.obs.trace import tracing
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex
@@ -57,7 +58,7 @@ def traced_world():
                    options={"prefix_bits": PREFIX_BITS})
         for party in (0, 1)
     ]
-    listeners = [ZltpTcpServer(server) for server in servers]
+    listeners = [ZltpEventLoopServer(server) for server in servers]
     yield servers, listeners
     for listener in listeners:
         listener.stop()

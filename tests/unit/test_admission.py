@@ -10,8 +10,9 @@ from repro.core.zltp.admission import AdmissionController
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.modes import MODE_ENCLAVE, MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import SERVER_KINDS, create_tcp_server
+from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.sockets import connect_tcp
+from repro.core.zltp.wire import FrameDecoder, encode_frames
 from repro.crypto.dpf import gen_dpf
 from repro.errors import OverloadError, ReproError
 from repro.netsim.simnet import SimLink
@@ -279,10 +280,9 @@ class TestGateBalance:
             assert gate.queue_depth == 0
         assert gate.shed == 0
 
-    @pytest.mark.parametrize("kind", list(SERVER_KINDS))
-    def test_tcp_core_replies_internal_and_gate_stays_idle(self, kind):
+    def test_tcp_core_replies_internal_and_gate_stays_idle(self):
         gate = AdmissionController(deadline_seconds=10.0, max_queue_depth=1)
-        listener = create_tcp_server(kind, self._failing_server(gate))
+        listener = create_tcp_server("eventloop", self._failing_server(gate))
         try:
             for _ in range(2):
                 transport = connect_tcp(*listener.address)
@@ -301,20 +301,18 @@ class TestGateBalance:
 
 
 class TestReactorAdmissionGap:
-    """The reactor's gate never sees a queue (DESIGN.md, admission).
+    """The reactor's gate sees the queue concurrent clients form.
 
-    The event loop admits, answers and releases each session's batch on
-    its one thread, so concurrent clients queue unseen in kernel socket
-    buffers and the gate's in-flight count is 0 at every admit decision.
-    This flips when batches are formed across sessions in the reactor.
+    A reactor tick reads every ready session before it answers any, and
+    the gate admits the tick's runs in arrival order, so a run admitted
+    behind another of the same tick sees an in-flight count above 0.
+    Answering one session at a time again would put it back to 0 at
+    every admit decision (DESIGN.md, *The reactor's tick*).
     """
 
     CLIENTS = 6
     GETS = 15
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the reactor answers each batch on its one "
-                              "thread, so admitted work never overlaps")
     def test_reactor_gate_sees_concurrent_load(self):
         db = BlobDatabase(8, 64)
         gate = AdmissionController(deadline_seconds=60.0,
@@ -358,3 +356,77 @@ class TestReactorAdmissionGap:
             raise RuntimeError(f"harness broke: {errors!r}, "
                                f"{len(in_flight_at_admit)} admissions")
         assert max(in_flight_at_admit) > 0
+
+
+class TestTick:
+    """``ZltpServer.tick``: the tick's runs are admitted in arrival order
+    before any is answered, and each session's replies are yielded
+    before the next run is answered."""
+
+    def _server(self, gate):
+        return ZltpServer(BlobDatabase(8, 64), modes=[MODE_PIR2], party=0,
+                          salt=SALT, probes=2, admission=gate)
+
+    def _ready_session(self, server):
+        session = server.create_session()
+        session.receive(encode_frames([_hello_frame()]))
+        return session
+
+    def _burst(self, n):
+        return encode_frames([_get_frame()] * n)
+
+    def test_a_run_behind_another_of_the_tick_is_shed(self):
+        gate = AdmissionController(deadline_seconds=60.0, max_queue_depth=3)
+        server = self._server(gate)
+        first, second = (self._ready_session(server) for _ in range(2))
+        served = list(server.tick([(first, self._burst(2)),
+                                   (second, self._burst(2))]))
+        assert [index for index, _ in served] == [0, 1]
+        answered = [msg.decode_message(frame)
+                    for frame in FrameDecoder().feed(served[0][1])]
+        shed = [msg.decode_message(frame)
+                for frame in FrameDecoder().feed(served[1][1])]
+        assert all(isinstance(reply, msg.GetResponse) for reply in answered)
+        assert len(answered) == 2
+        # Depth 2 ahead of it: 2 + 2 > 3, so one overload per GET.
+        assert [(reply.code, "queue depth 2+2" in reply.detail)
+                for reply in shed] == [("overload", True)] * 2
+        assert not second.closed and second.mode == MODE_PIR2
+        assert (gate.admitted, gate.shed, gate.queue_depth) == (2, 2, 0)
+
+    def test_each_run_is_answered_after_the_one_before_it_is_yielded(self):
+        gate = AdmissionController(deadline_seconds=60.0,
+                                   max_queue_depth=100)
+        server = self._server(gate)
+        sessions = [self._ready_session(server) for _ in range(3)]
+        mode = server.mode_server(MODE_PIR2)
+        answered = []
+        answer_batch = mode.answer_batch
+
+        def spy(payloads):
+            answered.append(len(payloads))
+            return answer_batch(payloads)
+
+        mode.answer_batch = spy
+        ticks = server.tick([(session, self._burst(1))
+                             for session in sessions])
+        depths = []
+        for index, _replies in ticks:
+            # Every run was admitted before the first answer, and the
+            # runs not yet answered are still in flight.
+            assert len(answered) == index + 1
+            depths.append(gate.queue_depth)
+        assert depths == [2, 1, 0]
+
+    def test_an_abandoned_tick_releases_its_admits(self):
+        gate = AdmissionController(deadline_seconds=60.0,
+                                   max_queue_depth=100)
+        server = self._server(gate)
+        sessions = [self._ready_session(server) for _ in range(3)]
+        ticks = server.tick([(session, self._burst(2))
+                             for session in sessions])
+        next(ticks)
+        assert gate.queue_depth == 4
+        ticks.close()
+        assert gate.queue_depth == 0
+        assert gate.admitted == 6

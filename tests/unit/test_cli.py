@@ -368,7 +368,7 @@ class TestLoadgenCommand:
                 db.set_slot(slot, bytes(
                     rng.integers(0, 256, 32, dtype=np.uint8)))
             server = ZltpServer(db, modes=["pir2"], party=party)
-            listeners.append(create_tcp_server("threaded", server, port=0))
+            listeners.append(create_tcp_server("eventloop", server, port=0))
         directory = DirectoryServer(directory=static_directory(
             "127.0.0.1",
             {"data": [listener.address[1] for listener in listeners]},

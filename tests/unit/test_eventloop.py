@@ -13,11 +13,7 @@ from repro.core.zltp.client import connect_client
 from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import (
-    DEFAULT_SERVER_KIND,
-    SERVER_KINDS,
-    create_tcp_server,
-)
+from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.wire import encode_frame
 from repro.errors import ReproError, TransportError
@@ -235,14 +231,13 @@ class TestEventLoopSessions:
         server.stop()  # idempotent
         sock.close()
 
-    @pytest.mark.parametrize("kind", list(SERVER_KINDS))
-    def test_sidecar_serves_the_logical_server_snapshot(self, kind):
+    def test_sidecar_serves_the_logical_server_snapshot(self):
         logical = make_logical()
-        listener = create_tcp_server(kind, logical)
+        listener = create_tcp_server("eventloop", logical)
         stats = serve_stats(logical.stats_snapshot,
                             traces=logical.flight.export)
         try:
-            # One session through the kind's listener shows in the scrape.
+            # One session through the listener shows in the scrape.
             transport = connect_tcp(*listener.address)
             transport.send_frame(msg.encode_message(
                 msg.ClientHello(supported_modes=[MODE_PIR2])))
@@ -265,21 +260,23 @@ class TestEventLoopSessions:
 
 
 class TestServingRegistry:
-    def test_default_kind_is_eventloop_and_listed_first(self):
-        kinds = list(SERVER_KINDS)
-        assert DEFAULT_SERVER_KIND == "eventloop"
-        assert kinds[0] == "eventloop"
-        assert "threaded" in kinds
+    @pytest.mark.parametrize("kind", [None, "eventloop"])
+    def test_none_and_eventloop_build_the_reactor(self, kind):
+        listener = create_tcp_server(kind, make_logical())
+        try:
+            assert isinstance(listener, ZltpEventLoopServer)
+        finally:
+            listener.stop()
 
-    def test_unknown_kind_raises_typed_error(self):
+    @pytest.mark.parametrize("kind", ["gopher", "threaded"])
+    def test_unknown_kind_raises_typed_error(self, kind):
         with pytest.raises(ReproError, match="unknown server kind"):
-            create_tcp_server("gopher", make_logical())
+            create_tcp_server(kind, make_logical())
 
-    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
-    def test_both_kinds_serve_the_same_protocol(self, kind):
+    def test_the_reactor_serves_the_protocol(self):
         servers = [
             create_tcp_server(
-                kind,
+                "eventloop",
                 ZltpServer(build_db(), modes=[MODE_PIR2], party=party,
                            salt=SALT, probes=2))
             for party in (0, 1)

@@ -138,7 +138,7 @@ class TestHistogramBuckets:
         h.observe(0.005, mode="pir2")
         h.observe(0.05, mode="pir2")
         h.observe(5.0, mode="pir2")
-        text = render_snapshot_text(reg.snapshot())
+        text = render_snapshot_text(reg.as_dict())
         assert 'lat_bucket{mode="pir2",le="0.01"} 1' in text
         assert 'lat_bucket{mode="pir2",le="0.1"} 2' in text
         assert 'lat_bucket{mode="pir2",le="+Inf"} 3' in text

@@ -1,6 +1,6 @@
 """Unit tests for the mergeable-snapshot machinery in ``repro.obs``.
 
-The snapshot dict :meth:`MetricsRegistry.snapshot` returns is the
+The snapshot dict :meth:`MetricsRegistry.as_dict` returns is the
 cross-process wire format: a stats sidecar serves it, and ``lightweb
 top`` merges whole servers' worth of it. These tests pin the merge semantics down — sums for
 counters/gauges, bucket-wise sums for histograms, loud rejection of
@@ -35,7 +35,7 @@ def make_snapshot(scans=3.0, observe=(0.005, 0.05, 0.5), **labels):
         hist.observe(value, **labels)
     gauge = registry.gauge("sessions_active", "live sessions")
     gauge.set(2.0, **labels)
-    return registry.snapshot()
+    return registry.as_dict()
 
 
 def merged_snapshots(snapshots):
@@ -95,7 +95,7 @@ class TestMergeInto:
         registry = MetricsRegistry()
         registry.histogram("scan_seconds", "scan latency",
                            buckets=[0.5, 5.0]).observe(0.1)
-        other = registry.snapshot()
+        other = registry.as_dict()
         with pytest.raises(ReproError, match="bucket layouts differ"):
             merge_into(make_snapshot(), other)
 
@@ -103,7 +103,7 @@ class TestMergeInto:
         registry = MetricsRegistry()
         registry.counter("sessions_active", "oops, a counter now").inc()
         with pytest.raises(ReproError, match="kind"):
-            merge_into(make_snapshot(), registry.snapshot())
+            merge_into(make_snapshot(), registry.as_dict())
 
 
 class TestRelabel:
@@ -148,7 +148,7 @@ class TestRenderSnapshotText:
         registry.counter("scans_total", "scans served").inc(3.0, op="scan")
         registry.histogram("scan_seconds", "scan latency",
                            buckets=BUCKETS).observe(0.05, op="scan")
-        assert render_snapshot_text(registry.snapshot()).splitlines() == [
+        assert render_snapshot_text(registry.as_dict()).splitlines() == [
             "# HELP scan_seconds scan latency",
             "# TYPE scan_seconds histogram",
             'scan_seconds_bucket{op="scan",le="0.01"} 0',

@@ -15,7 +15,8 @@ from repro.core.zltp.eventloop import Reactor
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.serving import create_tcp_server
-from repro.core.zltp.sockets import TcpTransport, ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import TcpTransport, connect_tcp
 from repro.core.zltp.wire import encode_frame
 from repro.errors import TransportError
 from repro.obs import fleet
@@ -37,8 +38,8 @@ def build_db():
 @pytest.fixture
 def tcp_pair():
     servers = [
-        ZltpTcpServer(ZltpServer(build_db(), modes=[MODE_PIR2], party=party,
-                                 salt=SALT, probes=2))
+        ZltpEventLoopServer(ZltpServer(build_db(), modes=[MODE_PIR2],
+                                       party=party, salt=SALT, probes=2))
         for party in (0, 1)
     ]
     yield servers
@@ -100,10 +101,10 @@ class TestServerLifecycle:
         for _ in range(8):
             transports = [connect_tcp(*srv.address) for srv in tcp_pair]
             clients.append(connect_client(transports))
-        # All eight sessions are live at once on each server.
+        # All eight sessions are live at once on each server's one thread.
         for server in tcp_pair:
             assert server.active_connections == 8
-            assert server.worker_count == 8
+            assert server.worker_count == 1
         for i, client in enumerate(clients):
             assert client.get(f"s{i % 10}.com/p") == f"tcp-{i % 10}".encode()
         for client in clients:
@@ -112,23 +113,24 @@ class TestServerLifecycle:
             server.stop()
             assert server.worker_count == 0
             assert server.active_connections == 0
-            assert not server._accept_thread.is_alive()
+            assert not server._thread.is_alive()
 
-    def test_finished_workers_are_pruned(self, tcp_pair):
+    def test_finished_sessions_are_pruned(self, tcp_pair):
         server = tcp_pair[0]
         for _ in range(5):
             transport = connect_tcp(*server.address)
             transport.send_frame(b"\x01garbage")  # session closes itself
             transport.recv_frame()
             transport.close()
-        # Opening one more connection prunes the dead handler threads.
+        # Only the one open connection is left on the one service thread.
         transport = connect_tcp(*server.address)
         try:
             deadline = 50
-            while server.worker_count > 1 and deadline:
+            while server.active_connections != 1 and deadline:
                 deadline -= 1
                 time.sleep(0.02)
-            assert server.worker_count <= 1
+            assert server.active_connections == 1
+            assert server.worker_count == 1
         finally:
             transport.close()
 
@@ -182,10 +184,9 @@ class TestBurstsAndNagle:
         transport.send_frame(b"solo")
         assert sock.writes[1] == encode_frame(b"solo")
 
-    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
-    def test_nodelay_on_both_ends_of_every_connection(self, kind):
+    def test_nodelay_on_both_ends_of_every_connection(self):
         listener = create_tcp_server(
-            kind, ZltpServer(build_db(), modes=[MODE_PIR2], party=0,
+            "eventloop", ZltpServer(build_db(), modes=[MODE_PIR2], party=0,
                              salt=SALT, probes=2))
         try:
             transport = connect_tcp(*listener.address)
@@ -194,10 +195,7 @@ class TestBurstsAndNagle:
             transport.send_frame(msg.encode_message(
                 msg.ClientHello(supported_modes=[MODE_PIR2])))
             transport.recv_frame()  # the server has the connection now
-            accepted = [getattr(conn, "sock", conn)
-                        for conn in (listener._conns.values()
-                                     if isinstance(listener._conns, dict)
-                                     else listener._conns)]
+            accepted = [conn.sock for conn in listener._conns.values()]
             assert len(accepted) == 1
             assert accepted[0].getsockopt(socket.IPPROTO_TCP,
                                           socket.TCP_NODELAY)
@@ -205,13 +203,12 @@ class TestBurstsAndNagle:
         finally:
             listener.stop()
 
-    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
-    def test_a_pipelined_burst_is_one_scan_pass(self, kind):
+    def test_a_pipelined_burst_is_one_scan_pass(self):
         """The finding this closes: two GETs sent as two writes reached
         the reactor as two batches of one."""
         db = build_db()
         listeners = [create_tcp_server(
-            kind, ZltpServer(db, modes=[MODE_PIR2], party=party, salt=SALT,
+            "eventloop", ZltpServer(db, modes=[MODE_PIR2], party=party, salt=SALT,
                              probes=2)) for party in (0, 1)]
         try:
             client = connect_client(
@@ -306,17 +303,18 @@ class TestTimeoutSplit:
 
 
 def boom_sessions(logical):
-    """Make every new session's ``handle_frames`` raise, as a handler bug
-    would; returns the original ``create_session`` to restore."""
+    """Make every new session's message handler (``handle``) raise, as a
+    handler bug would; returns the original ``create_session`` to
+    restore."""
     original = logical.create_session
 
     def boom_session():
         session = original()
 
-        def boom(frames):
+        def boom(message):
             raise RuntimeError("handler bug")
 
-        session.handle_frames = boom
+        session.handle = boom
         return session
 
     logical.create_session = boom_session
@@ -638,7 +636,7 @@ class TestConfigurableIoTimeout:
             sidecar.stop()
 
     def test_zltp_idle_connection_reaped_with_reason(self):
-        server = ZltpTcpServer(
+        server = ZltpEventLoopServer(
             ZltpServer(build_db(), modes=[MODE_PIR2], party=0, salt=SALT,
                        probes=2),
             idle_timeout=0.15)
@@ -658,7 +656,7 @@ class TestConfigurableIoTimeout:
             server.stop()
 
     def test_zltp_default_is_patient(self):
-        server = ZltpTcpServer(
+        server = ZltpEventLoopServer(
             ZltpServer(build_db(), modes=[MODE_PIR2], party=0, salt=SALT,
                        probes=2))
         try:
