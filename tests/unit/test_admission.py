@@ -1,5 +1,6 @@
 """Tests for the admission-control gate and its session integration."""
 
+import struct
 import threading
 
 import numpy as np
@@ -12,7 +13,7 @@ from repro.core.zltp.modes import MODE_ENCLAVE, MODE_PIR2
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.sockets import connect_tcp
-from repro.core.zltp.wire import FrameDecoder, encode_frames
+from repro.core.zltp.wire import MAX_FRAME_BYTES, FrameDecoder, encode_frames
 from repro.crypto.dpf import gen_dpf
 from repro.errors import OverloadError, ReproError
 from repro.netsim.simnet import SimLink
@@ -254,22 +255,23 @@ def _hello_frame():
     return msg.encode_message(msg.ClientHello(supported_modes=[MODE_PIR2]))
 
 
+def _failing_server(gate):
+    server = ZltpServer(BlobDatabase(8, 64), modes=[MODE_PIR2], party=0,
+                        salt=SALT, probes=2, admission=gate)
+
+    def broken_answer_batch(payloads):
+        raise ValueError("handler bug")
+
+    server.mode_server(MODE_PIR2).answer_batch = broken_answer_batch
+    return server
+
+
 class TestGateBalance:
     """Every admit is released, whatever the admitted batch did."""
 
-    def _failing_server(self, gate):
-        server = ZltpServer(BlobDatabase(8, 64), modes=[MODE_PIR2], party=0,
-                            salt=SALT, probes=2, admission=gate)
-
-        def broken_answer_batch(payloads):
-            raise ValueError("handler bug")
-
-        server.mode_server(MODE_PIR2).answer_batch = broken_answer_batch
-        return server
-
     def test_failed_batch_releases_gate(self):
         gate = AdmissionController(deadline_seconds=10.0, max_queue_depth=2)
-        server = self._failing_server(gate)
+        server = _failing_server(gate)
         # More failures than the gate's depth cap: a leaked admit per
         # failure would leave it busy, and the next one would be shed.
         for _ in range(3):
@@ -282,7 +284,7 @@ class TestGateBalance:
 
     def test_tcp_core_replies_internal_and_gate_stays_idle(self):
         gate = AdmissionController(deadline_seconds=10.0, max_queue_depth=1)
-        listener = create_tcp_server("eventloop", self._failing_server(gate))
+        listener = create_tcp_server("eventloop", _failing_server(gate))
         try:
             for _ in range(2):
                 transport = connect_tcp(*listener.address)
@@ -430,3 +432,146 @@ class TestTick:
         ticks.close()
         assert gate.queue_depth == 0
         assert gate.admitted == 6
+
+    def _replies(self, data):
+        return [msg.decode_message(frame)
+                for frame in FrameDecoder().feed(data)]
+
+    def _gets(self, *request_ids):
+        key0, _ = gen_dpf(3, 8)
+        return encode_frames([
+            msg.encode_message(msg.GetRequest(request_id=request_id,
+                                              payload=key0.to_bytes()))
+            for request_id in request_ids])
+
+    def _gate(self):
+        return AdmissionController(deadline_seconds=60.0,
+                                   max_queue_depth=100)
+
+    def test_frames_before_a_run_reply_ahead_of_its_answers(self):
+        gate = self._gate()
+        server = self._server(gate)
+        session = server.create_session()
+        data = encode_frames([_hello_frame()]) + self._gets(4, 5)
+        [(index, replies)] = server.tick([(session, data)])
+        replies = self._replies(replies)
+        assert index == 0
+        assert isinstance(replies[0], msg.ServerHello)
+        assert [(type(reply), reply.request_id) for reply in replies[1:]] \
+            == [(msg.GetResponse, 4), (msg.GetResponse, 5)]
+        assert (gate.admitted, gate.queue_depth) == (2, 0)
+
+    def test_frames_after_a_run_are_handled_after_its_answers(self):
+        gate = self._gate()
+        server = self._server(gate)
+        session = self._ready_session(server)
+        data = self._gets(1, 2) + encode_frames([b"\xff garbage"]) \
+            + self._gets(3)
+        [(_index, replies)] = server.tick([(session, data)])
+        replies = self._replies(replies)
+        # The run is answered first; the bad message after it closes the
+        # session, so the GET behind that is never admitted.
+        assert [type(reply) for reply in replies] == \
+            [msg.GetResponse, msg.GetResponse, msg.ErrorMessage]
+        assert replies[2].code == "bad-message"
+        assert session.closed
+        assert (gate.admitted, gate.queue_depth) == (2, 0)
+
+    def test_a_bad_frame_closes_only_its_session(self):
+        gate = self._gate()
+        server = self._server(gate)
+        broken, healthy = (self._ready_session(server) for _ in range(2))
+        served = dict(server.tick([
+            (broken, struct.pack("<I", MAX_FRAME_BYTES + 1)),
+            (healthy, self._burst(2)),
+        ]))
+        [error] = self._replies(served[0])
+        assert (error.code, broken.closed) == ("bad-frame", True)
+        assert [type(reply) for reply in self._replies(served[1])] == \
+            [msg.GetResponse] * 2
+        assert not healthy.closed
+        assert (gate.admitted, gate.queue_depth) == (2, 0)
+
+    def test_a_partial_frame_waits_without_an_admit(self):
+        gate = self._gate()
+        server = self._server(gate)
+        session = self._ready_session(server)
+        data = self._gets(9)
+        cut = len(data) // 2
+        assert list(server.tick([(session, data[:cut])])) == [(0, b"")]
+        assert gate.admitted == 0
+        [(_index, replies)] = server.tick([(session, data[cut:])])
+        [reply] = self._replies(replies)
+        assert (type(reply), reply.request_id) == (msg.GetResponse, 9)
+        assert (gate.admitted, gate.queue_depth) == (1, 0)
+
+    def test_a_closed_session_takes_no_admit(self):
+        gate = self._gate()
+        server = self._server(gate)
+        gone, live = (self._ready_session(server) for _ in range(2))
+        gone.close()
+        served = list(server.tick([(gone, self._burst(3)),
+                                   (live, self._burst(1))]))
+        assert served[0] == (0, b"")
+        assert [type(reply) for reply in self._replies(served[1][1])] == \
+            [msg.GetResponse]
+        assert (gate.admitted, gate.shed, gate.queue_depth) == (1, 0, 0)
+
+    def test_gets_before_the_hello_form_no_run(self):
+        gate = self._gate()
+        server = self._server(gate)
+        session = server.create_session()
+        [(_index, replies)] = server.tick([(session, self._burst(2))])
+        [error] = self._replies(replies)
+        assert error.code == "protocol" and "expected ClientHello" in \
+            error.detail
+        assert session.closed
+        assert (gate.admitted, gate.queue_depth) == (0, 0)
+
+    def test_a_failing_batch_replies_internal_and_releases(self):
+        gate = self._gate()
+        server = _failing_server(gate)
+        sessions = [self._ready_session(server) for _ in range(2)]
+        served = list(server.tick([(session, self._burst(2))
+                                   for session in sessions]))
+        for _index, replies in served:
+            [error] = self._replies(replies)
+            assert error.code == "internal"
+        assert all(session.closed for session in sessions)
+        assert (gate.admitted, gate.queue_depth) == (4, 0)
+
+    def test_a_malformed_query_closes_only_its_session(self):
+        gate = self._gate()
+        server = self._server(gate)
+        bad, good = (self._ready_session(server) for _ in range(2))
+        malformed = encode_frames([msg.encode_message(
+            msg.GetRequest(request_id=1, payload=b"\x00" * 5))])
+        served = dict(server.tick([(bad, malformed),
+                                   (good, self._gets(6, 7))]))
+        [error] = self._replies(served[0])
+        assert (error.code, bad.closed) == ("protocol", True)
+        assert [reply.request_id for reply in self._replies(served[1])] == \
+            [6, 7]
+        assert not good.closed
+        assert (gate.admitted, gate.queue_depth) == (3, 0)
+
+    def test_without_a_gate_every_run_is_answered(self):
+        server = self._server(None)
+        sessions = [self._ready_session(server) for _ in range(3)]
+        served = list(server.tick([(session, self._burst(2))
+                                   for session in sessions]))
+        assert [index for index, _ in served] == [0, 1, 2]
+        for _index, replies in served:
+            assert [type(reply) for reply in self._replies(replies)] == \
+                [msg.GetResponse] * 2
+        assert server.gets_served == 6
+
+    def test_receive_is_a_one_session_tick(self):
+        data = self._gets(2, 3)
+        by_receive = self._server(self._gate())
+        by_tick = self._server(self._gate())
+        received = self._ready_session(by_receive).receive(data)
+        [(_index, ticked)] = by_tick.tick([(self._ready_session(by_tick),
+                                            data)])
+        assert received == ticked
+        assert by_receive.gets_served == by_tick.gets_served == 2
