@@ -2,15 +2,16 @@
 
 Two measurements back PR 9's perf claims:
 
-1. **Merged-registry overhead.** A scan loop that wraps every shard
-   scan in a span and feeds a registry (histogram observe + counter
-   inc), with a snapshot, relabel and merge once per round as a fleet
-   scrape does, is timed raw vs instrumented. It bounds what per-scan
-   metrics would cost; the served front-end records one span per shard
-   scan and its metrics once per fan-out, which is less. The same 5%
-   bar E10 set for span instrumentation (PR 4) applies, measured with
-   E10's estimator: the variants interleave in an order rotated round by
-   round, and the overhead is the median of the per-round ratios.
+1. **Accounting and merge overhead.** A scan loop that accounts every
+   shard scan the way a server accounts an answer (a span, then
+   ``RequestStats.add`` of the query and its seconds), with a snapshot
+   built from those counters, relabelled and merged once per round as a
+   fleet scrape does, is timed raw vs instrumented. It bounds the
+   served path from above: a server accounts once per answer batch, not
+   once per shard scan. The same 5% bar E10 set for span
+   instrumentation applies, measured with E10's estimator: the variants
+   interleave in an order rotated round by round, and the overhead is
+   the median of the per-round ratios.
 2. **Fleet scrape latency.** Four stats sidecars are scraped through
    :func:`repro.obs.fleet.scrape_fleet`; the per-server timeouts run
    concurrently, so four servers should cost about one round-trip, not
@@ -33,18 +34,19 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.bench_e10_obs_overhead import _interleaved_rounds, _overhead
+from repro.core.backend import RequestStats
 from repro.obs.fleet import ScrapeTarget, scrape_fleet
 from repro.obs.metrics import (
-    MetricsRegistry,
     merge_into,
+    metric,
     relabel_snapshot,
     snapshot_total,
 )
 from repro.obs.trace import span
 from repro.pir.database import BlobDatabase
 
-# E9/E10-sized scans (2^13 x 4 KiB = 32 MiB per call): the metric ops
-# run cache-cold after each scan — their true production state — so the
+# E9/E10-sized scans (2^13 x 4 KiB = 32 MiB per call): the accounting
+# runs cache-cold after each scan — its true production state — so the
 # scan must be production-sized too or the relative overhead doubles.
 DOMAIN_BITS = 13
 BLOB_BYTES = 4096
@@ -84,35 +86,34 @@ def _best_of(fn, rounds: int) -> float:
 def measure_merge_overhead(domain_bits: int = DOMAIN_BITS,
                            scans_per_round: int = SCANS_PER_ROUND,
                            rounds: int = ROUNDS) -> dict:
-    """Raw scans vs a scan loop's full per-scan metrics path.
+    """Raw scans vs a scan loop with a server's accounting attached.
 
-    The instrumented loop runs per scan: a span for timing, a histogram
-    observe, a counter inc — plus, once per round, the
-    snapshot/relabel/merge a fleet scrape adds on top.
+    The instrumented loop runs per scan: a span for timing and a
+    ``RequestStats.add`` of one query and its seconds — plus, once per
+    round, the snapshot/relabel/merge a fleet scrape adds on top.
     """
     db = _filled_db(domain_bits)
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=db.n_slots, dtype=np.uint8).astype(bool)
 
-    registry = MetricsRegistry()
-    hist = registry.histogram("shard_scan_seconds",
-                              "seconds per shard scan")
-    scans = registry.counter("shard_scans_total", "shard scans run")
-
     def run_raw():
         for _ in range(scans_per_round):
             db.xor_scan(bits)
 
+    stats = RequestStats()
     merged: dict = {}
 
     def run_instrumented():
         for _ in range(scans_per_round):
             with span("pir2.shard_scan", op="scan") as sp:
                 db.xor_scan(bits)
-            hist.observe(sp.elapsed, op="scan")
-            scans.inc(op="scan")
-        # The scrape side: cumulative snapshot, server relabel, merge.
-        merge_into(merged, relabel_snapshot(registry.as_dict(), server=0))
+            stats.add(queries=1, scan_seconds=sp.elapsed)
+        # The scrape side: a snapshot of the cumulative counters, named
+        # as a server names them, then the server relabel and the merge.
+        snap = {f"zltp_{field}_total": metric(
+                    "counter", field, [({"mode": "pir2"}, value)])
+                for field, value in stats.as_dict().items()}
+        merge_into(merged, relabel_snapshot(snap, server=0))
 
     # Each round times both variants back to back, raw leading in one
     # round and instrumented in the next, so a slow stretch lands on the
@@ -134,9 +135,8 @@ def measure_fleet_scrape(fleet_size: int = FLEET_SIZE,
     """Stand up ``fleet_size`` stats sidecars and time a full scrape."""
     from repro.cli.serve import serve_stats
 
-    registry = MetricsRegistry()
-    registry.counter("shard_scans_total", "shard scans run").inc(8.0)
-    snap = registry.as_dict()
+    snap = {"shard_scans_total": metric("counter", "shard scans run",
+                                        [({}, 8.0)])}
 
     sidecars = [
         serve_stats(lambda snap=snap: {"metrics": snap}, port=0)
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     overhead = data["overhead"]["overhead_instrumented"]
     if overhead >= 0.05:
-        print(f"OVERHEAD TOO HIGH: per-scan metrics path costs "
+        print(f"OVERHEAD TOO HIGH: per-scan accounting path costs "
               f"{overhead*100:.2f}% >= 5%")
         return 1
     return 0

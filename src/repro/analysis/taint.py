@@ -60,11 +60,12 @@ BYTES_PRODUCERS = {
 SANITIZERS = {"compare_digest", "isinstance"}
 
 #: Observability sinks for the ``telemetry-leak`` rule. Bare names are
-#: matched for direct calls (``span(...)``); method names for attribute
-#: calls (``sp.annotate(...)``, ``counter.inc(...)``, ``log.info(...)``).
+#: matched for direct calls (``span(...)``, ``metric(...)``, the metrics
+#: snapshot builder); method names for attribute calls
+#: (``sp.annotate(...)``, ``counter.inc(...)``, ``log.info(...)``).
 #: ``log`` itself is deliberately absent: ``math.log``/``np.log`` are
 #: attribute calls named ``log`` and are arithmetic, not telemetry.
-TELEMETRY_NAME_SINKS = {"span"}
+TELEMETRY_NAME_SINKS = {"span", "metric"}
 TELEMETRY_METHOD_SINKS = {
     "annotate", "inc", "set", "observe", "labels",
     "debug", "info", "warning", "error", "exception", "critical",

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 #: Bump when summary extraction changes shape or semantics: any cache
 #: written by a different analyzer version is ignored wholesale.
-ANALYZER_VERSION = "wp-2"
+ANALYZER_VERSION = "wp-3"
 
 
 def source_digest(source: str) -> str:

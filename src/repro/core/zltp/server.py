@@ -50,7 +50,7 @@ from repro.errors import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import metric
 from repro.obs.trace import span
 from repro.pir.database import BlobDatabase
 
@@ -203,7 +203,7 @@ class ZltpServer:
 
         This is what a listener's stats sidecar serves. Every number is
         this logical server's own, read once; ``metrics`` renders those
-        same numbers as a fresh registry snapshot (:func:`_stats_metrics`),
+        same numbers as a snapshot built there (:func:`_stats_metrics`),
         so a neighbour in the same process never shows up in it.
         """
         with self._stats_lock:
@@ -311,40 +311,44 @@ _MODE_SERIES = (
      "Shard scans retried while answering, by mode"),
 )
 
+#: (stats key, kind, name, help) of each unlabelled series.
+_SERVER_SERIES = (
+    ("sessions_active", "gauge", "zltp_active_sessions", "Live ZLTP sessions"),
+    ("truncated_frames", "counter", "zltp_truncated_frames_total",
+     "Connections that closed with a partial frame buffered"),
+    ("idle_reaped", "counter", "zltp_idle_reaped_total",
+     "Sessions closed by the idle timeout"),
+)
+
 
 def _stats_metrics(stats: Dict[str, Any]) -> Dict[str, Any]:
     """The metrics snapshot of one :meth:`ZltpServer.stats_snapshot`.
 
     Built at scrape time from the snapshot's own fields, so every series
     equals a number the server already holds: per-mode queries, bytes,
-    answer seconds and retries, the live session gauge, truncated frames,
-    idle reaps and, when a gate is attached, its admission tallies.
-    Labels are public structure only (a wire mode name, a fixed outcome).
+    answer seconds and retries (once a mode has answered), the live
+    session gauge, truncated frames, idle reaps and, when a gate is
+    attached, its admission tallies. Labels are public structure only (a
+    wire mode name, a fixed outcome).
     """
-    registry = MetricsRegistry()
-    for mode, counts in stats["modes"].items():
-        for field, name, help in _MODE_SERIES:
-            registry.counter(name, help).inc(counts[field], mode=mode)
-    registry.gauge("zltp_active_sessions", "Live ZLTP sessions").set(
-        stats["sessions_active"])
-    registry.counter(
-        "zltp_truncated_frames_total",
-        "Connections that closed with a partial frame buffered",
-    ).inc(stats["truncated_frames"])
-    registry.counter(
-        "zltp_idle_reaped_total", "Sessions closed by the idle timeout",
-    ).inc(stats["idle_reaped"])
+    modes = stats["modes"]
+    metrics = {
+        name: metric("counter", help, [({"mode": mode}, counts[field])
+                                       for mode, counts in modes.items()])
+        for field, name, help in _MODE_SERIES if modes
+    }
+    for key, kind, name, help in _SERVER_SERIES:
+        metrics[name] = metric(kind, help, [({}, stats[key])])
     gate = stats.get("admission")
     if gate is not None:
-        requests = registry.counter(
-            "admission_requests_total",
-            "Queries through the admission gate, by outcome")
-        requests.inc(gate["admitted"], outcome="admitted")
-        requests.inc(gate["shed"], outcome="shed")
-        registry.gauge(
-            "admission_queue_depth", "Queries admitted and not yet finished",
-        ).set(gate["queue_depth"])
-    return registry.as_dict()
+        metrics["admission_requests_total"] = metric(
+            "counter", "Queries through the admission gate, by outcome",
+            [({"outcome": outcome}, gate[outcome])
+             for outcome in ("admitted", "shed")])
+        metrics["admission_queue_depth"] = metric(
+            "gauge", "Queries admitted and not yet finished",
+            [({}, gate["queue_depth"])])
+    return dict(sorted(metrics.items()))
 
 
 class ZltpServerSession:

@@ -4,9 +4,9 @@ Three pieces, one discipline:
 
 * :mod:`repro.obs.trace` — ``with span("pir2.shard_scan", shard=i):``
   nested trace spans, exportable as JSON.
-* :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms
-  and their mergeable snapshots; a server fills a fresh registry from
-  its own counters at scrape time (``lightweb stats``).
+* :mod:`repro.obs.metrics` — plain-data counter and gauge snapshots; a
+  server builds one from its own counters at scrape time (``lightweb
+  stats``), and fleet scrapes check, relabel and merge them.
 * :mod:`repro.obs.logs` — module loggers and JSON-lines log output.
 * :mod:`repro.obs.flight` — bounded flight recorder of completed request
   trace trees, served at ``/debug/traces.json``.
@@ -29,12 +29,9 @@ from repro.obs.logs import (
     get_logger,
 )
 from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
+    check_snapshot,
     merge_into,
+    metric,
     relabel_snapshot,
     render_snapshot_text,
     snapshot_total,
@@ -57,11 +54,8 @@ __all__ = [
     "tracer_active",
     "FlightRecorder",
     "DEFAULT_SLOW_SECONDS",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_SECONDS_BUCKETS",
+    "metric",
+    "check_snapshot",
     "merge_into",
     "relabel_snapshot",
     "render_snapshot_text",

@@ -19,15 +19,16 @@ timeouts, and fold the snapshots into one fleet view with
 ``server`` id.
 
 Unreachable servers are first-class results, not exceptions: a fleet
-scrape returns a ``DOWN`` row for a dead sidecar and merges whatever the
-rest answered. Observability of a fleet must not have the fleet's
-availability as a prerequisite.
+scrape returns a ``DOWN`` row for a dead sidecar, or for one whose
+metrics fail :func:`~repro.obs.metrics.check_snapshot`, and merges
+whatever the rest answered. Observability of a fleet must not have the
+fleet's availability as a prerequisite.
 
 Zero-leakage note: everything scraped here is what the sidecars already
-expose — aggregate counters and fixed-bucket histograms under a-priori
-label sets, plus the fixed ``server=<id>`` relabel stamped at merge
-time. Server ids and stats ports are deployment topology from announce
-records, the same public control-plane metadata clients resolve against.
+expose — aggregate counters and gauges under a-priori label sets, plus
+the fixed ``server=<id>`` relabel stamped at merge time. Server ids and
+stats ports are deployment topology from announce records, the same
+public control-plane metadata clients resolve against.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.errors import TransportError
+from repro.errors import ReproError, TransportError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import (
+    check_snapshot,
     merge_into,
     relabel_snapshot,
     render_snapshot_text,
-    snapshot_total,
 )
 
 _RECV_CHUNK = 65536
@@ -275,8 +276,7 @@ class ServerScrape:
         """The scrape's mergeable metrics snapshot ({} when down)."""
         if self.stats is None:
             return {}
-        metrics = self.stats.get("metrics")
-        return metrics if isinstance(metrics, dict) else {}
+        return self.stats.get("metrics", {})
 
 
 @dataclass
@@ -302,11 +302,6 @@ class FleetSnapshot:
     def down_count(self) -> int:
         return len(self.scrapes) - self.up_count
 
-    def total(self, name: str, field_name: str = "value") -> float:
-        """Fleet-wide total of one merged metric (see
-        :func:`~repro.obs.metrics.snapshot_total`)."""
-        return snapshot_total(self.merged, name, field=field_name)
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form (what ``lightweb top --json`` prints)."""
         return {
@@ -328,7 +323,8 @@ class FleetSnapshot:
 
 def scrape_server(target: ScrapeTarget,
                   timeout: Optional[float] = 2.0) -> ServerScrape:
-    """Scrape one sidecar; a failure becomes a ``DOWN`` result."""
+    """Scrape one sidecar; a failure, or ``metrics`` out of format
+    (:func:`~repro.obs.metrics.check_snapshot`), becomes ``DOWN``."""
     try:
         body = http_get(target.host, target.port, METRICS_JSON_PATH,
                         timeout=timeout)
@@ -336,7 +332,8 @@ def scrape_server(target: ScrapeTarget,
         if not isinstance(stats, dict):
             raise TransportError(
                 f"{target.host}:{target.port} returned non-object stats")
-    except (TransportError, json.JSONDecodeError) as exc:
+        check_snapshot(stats.get("metrics", {}))
+    except (ReproError, json.JSONDecodeError) as exc:
         return ServerScrape(target=target, error=str(exc))
     return ServerScrape(target=target, stats=stats)
 

@@ -6,8 +6,9 @@ front-end) announce themselves, with their stats sidecar port, to a
 directory and serve real GETs. ``lightweb top --directory`` must then
 render one row per server whose GETS and SCAN-S come from that server's
 own scrape, a footer that totals the rows, and one merged snapshot equal
-to the sum of the per-server scrapes; killing one server's sidecar must
-render a ``DOWN`` row without failing the scrape.
+to the sum of the per-server scrapes; killing one server's sidecar, or
+one sidecar serving malformed metrics, must render a ``DOWN`` row
+without failing the scrape.
 
 Both servers live in this one process, and each scrape's ``metrics``
 still carries only its own server's GETs: a scrape renders the logical
@@ -31,8 +32,14 @@ from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.sockets import connect_tcp
-from repro.obs.fleet import scrape_server, targets_from_records
-from repro.obs.metrics import snapshot_total
+from repro.obs.fleet import (
+    ScrapeTarget,
+    render_fleet,
+    scrape_fleet,
+    scrape_server,
+    targets_from_records,
+)
+from repro.obs.metrics import metric, relabel_snapshot, snapshot_total
 from repro.pir.database import BlobDatabase
 
 # 16 MiB, so each GET's scan takes long enough (at least ~1 ms at any
@@ -210,3 +217,56 @@ class TestFleetTop:
         rows = up_rows(out)
         assert [row[1] for row in rows] == [N_GETS]
         assert footer(out)[0] == N_GETS
+
+
+GOOD_METRICS = {"zltp_queries_total": metric(
+    "counter", "PIR queries answered, by backend mode",
+    [({"mode": "pir2"}, 2)])}
+
+
+def counter_of(**cell):
+    """``zltp_queries_total`` as a counter with one hand-made series."""
+    return {"zltp_queries_total": {
+        "kind": "counter", "help": "", "series": [cell]}}
+
+
+class TestMalformedSidecar:
+    """One sidecar serving metrics out of format is one ``DOWN`` row:
+    the rest of the fleet still scrapes, merges and renders."""
+
+    @pytest.mark.parametrize("metrics", [
+        {"zltp_queries_total": 5},
+        {"zltp_queries_total": {"help": "", "series": []}},
+        counter_of(labels={"mode": "pir2"}, value="a"),
+        {"zltp_queries_total": {
+            "kind": "histogram", "help": "", "buckets": [0.1],
+            "series": [{"labels": {}, "counts": [1, 0], "sum": 0.05,
+                        "count": 1}]}},
+        {"zltp_queries_total": {"kind": "counter", "help": 7,
+                                "series": []}},
+        counter_of(labels={"mode": 2}, value=1.0),
+        counter_of(labels=["mode"], value=1.0),
+        counter_of(labels={"mode": "pir2"}, value=float("nan")),
+        counter_of(labels={"mode": "pir2"}),
+        ["zltp_queries_total"],
+    ], ids=["not-an-object", "no-kind", "string-value", "histogram",
+            "help-not-a-string", "int-label", "labels-not-an-object",
+            "nan-value", "no-value", "metrics-not-an-object"])
+    def test_bad_sidecar_is_down_and_the_rest_merge(self, metrics):
+        sidecars = [serve_stats(lambda: {"metrics": GOOD_METRICS}),
+                    serve_stats(lambda: {"metrics": metrics})]
+        try:
+            targets = [ScrapeTarget(f"s/{i}", *sidecar.address)
+                       for i, sidecar in enumerate(sidecars)]
+            fleet = scrape_fleet(targets)
+            assert fleet.up_count == 1
+            assert fleet.merged == relabel_snapshot(GOOD_METRICS,
+                                                    server="s/0")
+            bad = fleet.scrapes[1]
+            assert not bad.up and bad.error
+            out = render_fleet(fleet, metrics_text=True)
+            assert "fleet: 1 up, 1 down" in out
+            assert 'zltp_queries_total{mode="pir2",server="s/0"} 2' in out
+        finally:
+            for sidecar in sidecars:
+                sidecar.stop()

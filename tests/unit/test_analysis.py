@@ -341,6 +341,30 @@ class TestTelemetryLeak:
         """, SECRET_PARAM)
         assert findings == []
 
+    def test_fires_on_secret_label_in_metric_builder(self):
+        findings = run("""
+            def f(secret):
+                return metric("counter", "lookups", [({"key": secret}, 1)])
+        """, SECRET_PARAM)
+        assert rules_of(findings) == ["telemetry-leak"]
+
+    def test_fires_on_secret_value_in_metric_builder(self):
+        findings = run("""
+            def f(secret):
+                return metric("gauge", "last slot", [({}, secret)])
+        """, SECRET_PARAM)
+        assert rules_of(findings) == ["telemetry-leak"]
+
+    def test_quiet_on_public_mode_label_in_metric_builder(self):
+        findings = run("""
+            def f(secret, modes):
+                snap = metric("counter", "queries",
+                              [({"mode": mode}, counts["queries"])
+                               for mode, counts in modes.items()])
+                return snap, secret
+        """, SECRET_PARAM)
+        assert findings == []
+
     def test_quiet_on_math_log_of_secret(self):
         # ``log`` is not a telemetry method sink: math.log/np.log are
         # arithmetic on the value, not an observable channel.

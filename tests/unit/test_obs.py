@@ -1,11 +1,13 @@
 """Unit tests for :mod:`repro.obs` — spans, metrics, structured logging.
 
-Metric tests use private :class:`MetricsRegistry` instances, the only
-kind there is. Span tests activate their own tracer and always
-tear it down via the ``tracing()`` context manager.
+Metric tests read the plain-data snapshot a server builds at scrape
+time, and pin its bytes and its exported series. Span tests activate
+their own tracer and always tear it down via the ``tracing()`` context
+manager.
 """
 
 import ast
+import hashlib
 import io
 import json
 import logging
@@ -17,10 +19,11 @@ import pytest
 from repro.core.zltp.admission import AdmissionController
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.modes import MODE_ENCLAVE
-from repro.core.zltp.server import ZltpServer
+from repro.core.zltp.server import ZltpServer, _stats_metrics
 from repro.core.zltp.wire import encode_frame
 from repro.errors import ReproError
 from repro.netsim.simnet import SimLink
+from repro.obs.fleet import StatsSession
 from repro.obs.logs import (
     ConsoleFormatter,
     JsonLineFormatter,
@@ -29,9 +32,8 @@ from repro.obs.logs import (
     get_logger,
 )
 from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Histogram,
-    MetricsRegistry,
+    merge_into,
+    relabel_snapshot,
     render_snapshot_text,
     snapshot_total,
 )
@@ -43,106 +45,6 @@ from repro.obs.trace import (
 from repro.pir.database import BlobDatabase
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-
-# ----------------------------------------------------------------------
-# Metrics: counters and gauges
-# ----------------------------------------------------------------------
-
-class TestCountersAndGauges:
-    def test_counter_accumulates_per_label_set(self):
-        reg = MetricsRegistry()
-        c = reg.counter("q_total", "queries")
-        c.inc(mode="pir2")
-        c.inc(2, mode="pir2")
-        c.inc(5, mode="lwe")
-        assert c.value(mode="pir2") == 3
-        assert c.value(mode="lwe") == 5
-        assert c.value(mode="enclave") == 0
-
-    def test_counter_rejects_negative_increments(self):
-        c = MetricsRegistry().counter("q_total")
-        with pytest.raises(ReproError):
-            c.inc(-1)
-
-    def test_gauge_set_overwrites(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(4)
-        g.set(3)
-        assert g.value() == 3
-
-    def test_registry_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-
-    def test_registry_rejects_kind_mismatch(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(ReproError):
-            reg.gauge("a")
-
-    def test_as_dict_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("a", "help a").inc(2, mode="pir2")
-        snap = reg.as_dict()
-        assert snap["a"]["kind"] == "counter"
-        assert snap["a"]["series"] == [
-            {"labels": {"mode": "pir2"}, "value": 2.0}]
-
-
-# ----------------------------------------------------------------------
-# Metrics: histogram bucketing edge cases
-# ----------------------------------------------------------------------
-
-class TestHistogramBuckets:
-    def test_value_equal_to_boundary_lands_in_that_bucket(self):
-        # Prometheus le (≤) semantics: v == bound counts toward bound.
-        h = Histogram("lat", "", buckets=(0.001, 0.01, 0.1))
-        h.observe(0.01)
-        assert h.snapshot()["counts"] == [0, 1, 0, 0]
-
-    def test_value_above_last_boundary_lands_in_overflow(self):
-        h = Histogram("lat", "", buckets=(0.001, 0.01, 0.1))
-        h.observe(99.0)
-        assert h.snapshot()["counts"] == [0, 0, 0, 1]
-
-    def test_value_below_first_boundary_lands_in_first_bucket(self):
-        h = Histogram("lat", "", buckets=(0.001, 0.01, 0.1))
-        h.observe(0.0)
-        assert h.snapshot()["counts"] == [1, 0, 0, 0]
-
-    def test_sum_and_count_track_observations(self):
-        h = Histogram("lat", "", buckets=(1.0,))
-        h.observe(0.5)
-        h.observe(2.5)
-        snap = h.snapshot()
-        assert snap["count"] == 2
-        assert snap["sum"] == pytest.approx(3.0)
-        assert snap["counts"] == [1, 1]
-
-    def test_buckets_must_be_strictly_increasing(self):
-        with pytest.raises(ReproError):
-            Histogram("lat", "", buckets=(0.1, 0.1))
-        with pytest.raises(ReproError):
-            Histogram("lat", "", buckets=(0.2, 0.1))
-        with pytest.raises(ReproError):
-            Histogram("lat", "", buckets=())
-
-    def test_default_buckets_are_fixed_and_increasing(self):
-        assert list(DEFAULT_SECONDS_BUCKETS) == sorted(DEFAULT_SECONDS_BUCKETS)
-        assert len(set(DEFAULT_SECONDS_BUCKETS)) == len(DEFAULT_SECONDS_BUCKETS)
-
-    def test_render_text_cumulative_buckets_and_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", "latency", buckets=(0.01, 0.1))
-        h.observe(0.005, mode="pir2")
-        h.observe(0.05, mode="pir2")
-        h.observe(5.0, mode="pir2")
-        text = render_snapshot_text(reg.as_dict())
-        assert 'lat_bucket{mode="pir2",le="0.01"} 1' in text
-        assert 'lat_bucket{mode="pir2",le="0.1"} 2' in text
-        assert 'lat_bucket{mode="pir2",le="+Inf"} 3' in text
-        assert 'lat_count{mode="pir2"} 3' in text
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +138,87 @@ class TestOneStatsPlane:
         assert later["gets_served"] == 5
         assert snapshot_total(later["metrics"], "zltp_queries_total") == 5
         client.close()
+
+
+# ----------------------------------------------------------------------
+# Metrics: the exported bytes and series, pinned
+# ----------------------------------------------------------------------
+
+#: A fixed ``ZltpServer.stats_snapshot`` body: two modes, one of them
+#: with every count zero, and no admission gate. With ``modes`` emptied
+#: it is a server that has answered nothing yet.
+PIN_STATS = {
+    "sessions_opened": 7,
+    "sessions_active": 2,
+    "truncated_frames": 1,
+    "idle_reaped": 3,
+    "gets_served": 12,
+    "modes": {
+        "enclave": {"queries": 0, "bytes_up": 0, "bytes_down": 0,
+                    "scan_seconds": 0.0, "retries": 0},
+        "pir2": {"queries": 12, "bytes_up": 4104, "bytes_down": 49176,
+                 "scan_seconds": 0.0375, "retries": 1},
+    },
+}
+#: The same server behind a gate.
+PIN_GATED = dict(PIN_STATS, admission={
+    "deadline_seconds": 0.05, "max_queue_depth": 64, "queue_depth": 2,
+    "service_seconds_estimate": 0.003, "admitted": 12, "shed": 4})
+
+#: SHA-256 of :func:`scraped_forms`, NUL-joined. It was taken from the
+#: registry-filled snapshot this plain-data one replaced, so any change
+#: to a scraped byte moves it.
+PIN_DIGEST = \
+    "728914aa1ff46f293f08f75ac0cbb9f527b85c4f9d83562d0949623ddf2ad992"
+
+#: (name, kind, label names) of every series a gated server exports.
+EXPORTED_SERIES = {
+    ("admission_queue_depth", "gauge", ()),
+    ("admission_requests_total", "counter", ("outcome",)),
+    ("zltp_active_sessions", "gauge", ()),
+    ("zltp_bytes_down_total", "counter", ("mode",)),
+    ("zltp_bytes_up_total", "counter", ("mode",)),
+    ("zltp_idle_reaped_total", "counter", ()),
+    ("zltp_queries_total", "counter", ("mode",)),
+    ("zltp_retries_total", "counter", ("mode",)),
+    ("zltp_scan_seconds_total", "counter", ("mode",)),
+    ("zltp_truncated_frames_total", "counter", ()),
+}
+
+
+def scraped_forms():
+    """Every byte form a scrape of :data:`PIN_STATS` takes: each
+    snapshot, a fold of both, a ``server=``-relabelled merge, the text
+    exposition of a snapshot and of the merge, and the sidecar's two
+    HTTP replies."""
+    fresh = _stats_metrics(dict(PIN_STATS, modes={}))
+    plain = _stats_metrics(PIN_STATS)
+    gated = _stats_metrics(PIN_GATED)
+    folded = merge_into(merge_into({}, plain), gated)
+    fleet = merge_into(merge_into({}, relabel_snapshot(plain, server="s0")),
+                       relabel_snapshot(gated, server="s1"))
+    stats = dict(PIN_GATED, metrics=gated)
+    replies = [StatsSession(lambda: stats).receive(
+        f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        for path in ("/metrics", "/metrics.json")]
+    return [json.dumps(form, indent=2).encode()
+            for form in (fresh, plain, gated, folded, fleet)] + [
+        render_snapshot_text(gated).encode(),
+        render_snapshot_text(fleet).encode()] + replies
+
+
+class TestExportedSnapshotPin:
+    def test_scraped_bytes_are_pinned(self):
+        digest = hashlib.sha256(b"\0".join(scraped_forms())).hexdigest()
+        assert digest == PIN_DIGEST
+
+    def test_exported_series_are_pinned(self):
+        exported = {
+            (name, metric["kind"],
+             tuple(sorted({label for cell in metric["series"]
+                           for label in cell["labels"]})))
+            for name, metric in _stats_metrics(PIN_GATED).items()}
+        assert exported == EXPORTED_SERIES
 
 
 # ----------------------------------------------------------------------

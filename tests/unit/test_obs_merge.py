@@ -1,10 +1,12 @@
-"""Unit tests for the mergeable-snapshot machinery in ``repro.obs``.
+"""Unit tests for the plain-data snapshot machinery in ``repro.obs``.
 
-The snapshot dict :meth:`MetricsRegistry.as_dict` returns is the
+The snapshot dict :func:`repro.obs.metrics.metric` builds is the
 cross-process wire format: a stats sidecar serves it, and ``lightweb
-top`` merges whole servers' worth of it. These tests pin the merge semantics down — sums for
-counters/gauges, bucket-wise sums for histograms, loud rejection of
-mismatched layouts, and source snapshots that merging never mutates.
+top`` checks and merges whole servers' worth of it. These tests pin the
+builder and the merge semantics down — float values in label-sorted
+series, sums per label set, loud rejection of a kind mismatch or a kind
+other than counter or gauge, source snapshots that merging never
+mutates, and the format check a scraped snapshot must pass.
 """
 
 import copy
@@ -13,29 +15,21 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.metrics import (
-    MetricsRegistry,
+    check_snapshot,
     merge_into,
+    metric,
     relabel_snapshot,
     render_snapshot_text,
     snapshot_total,
 )
 
-BUCKETS = [0.01, 0.1, 1.0]
 
-
-def make_snapshot(scans=3.0, observe=(0.005, 0.05, 0.5), **labels):
-    """A small but realistic registry snapshot: one counter, one
-    histogram, one gauge."""
-    registry = MetricsRegistry()
-    counter = registry.counter("scans_total", "scans served")
-    counter.inc(scans, **labels)
-    hist = registry.histogram("scan_seconds", "scan latency",
-                              buckets=BUCKETS)
-    for value in observe:
-        hist.observe(value, **labels)
-    gauge = registry.gauge("sessions_active", "live sessions")
-    gauge.set(2.0, **labels)
-    return registry.as_dict()
+def make_snapshot(scans=3.0, **labels):
+    """A small but realistic snapshot: one counter, one gauge."""
+    return {
+        "scans_total": metric("counter", "scans served", [(labels, scans)]),
+        "sessions_active": metric("gauge", "live sessions", [(labels, 2)]),
+    }
 
 
 def merged_snapshots(snapshots):
@@ -45,13 +39,63 @@ def merged_snapshots(snapshots):
     return merged
 
 
+class TestMetric:
+    def test_values_are_floats_and_series_sorted_by_labels(self):
+        built = metric("counter", "queries", [({"mode": "pir2"}, 3),
+                                              ({"mode": "enclave"}, 0)])
+        assert built == {"kind": "counter", "help": "queries", "series": [
+            {"labels": {"mode": "enclave"}, "value": 0.0},
+            {"labels": {"mode": "pir2"}, "value": 3.0}]}
+        assert all(type(cell["value"]) is float for cell in built["series"])
+
+    def test_label_values_are_rendered_as_strings(self):
+        [cell] = metric("gauge", "", [({"shard": 3}, 1.5)])["series"]
+        assert cell["labels"] == {"shard": "3"}
+
+    def test_only_counters_and_gauges(self):
+        with pytest.raises(ReproError, match="counter or gauge"):
+            metric("histogram", "latency", [])
+
+
+class TestCheckSnapshot:
+    def test_builder_output_passes(self):
+        check_snapshot(make_snapshot(op="scan"))
+        check_snapshot(relabel_snapshot(make_snapshot(), server="s0"))
+        check_snapshot({})
+
+    @pytest.mark.parametrize("bad", [
+        [],
+        {"scans_total": 5},
+        {"scans_total": {"help": "", "series": []}},
+        {"scans_total": {"kind": "histogram", "help": "", "series": []}},
+        {"scans_total": {"kind": "counter", "series": []}},
+        {"scans_total": {"kind": "counter", "help": "", "series": {}}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {"op": 1}, "value": 1.0}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": [], "value": 1.0}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {}, "value": "a"}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {}, "value": True}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {}, "value": float("nan")}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {}, "value": 10 ** 400}]}},
+        {"scans_total": {"kind": "counter", "help": "", "series": [
+            {"labels": {}}]}},
+    ])
+    def test_out_of_format_is_refused(self, bad):
+        with pytest.raises(ReproError):
+            check_snapshot(bad)
+
+
 class TestMergeInto:
     def test_merge_into_empty_copies_everything(self):
         src = make_snapshot(op="scan")
         merged = merge_into({}, src)
+        assert merged == src
         assert snapshot_total(merged, "scans_total") == 3.0
-        assert snapshot_total(merged, "scan_seconds", field="count") == 3.0
-        assert merged["scan_seconds"]["buckets"] == BUCKETS
 
     def test_merge_empty_is_identity(self):
         dst = make_snapshot(op="scan")
@@ -66,7 +110,7 @@ class TestMergeInto:
         # leave the source alone: merge again and bump the result.
         merge_into(dst, src)
         dst["scans_total"]["series"][0]["value"] += 100
-        dst["scan_seconds"]["series"][0]["counts"][0] += 100
+        dst["scans_total"]["series"][0]["labels"]["op"] = "other"
         assert src == before
 
     def test_counters_sum_per_label_set(self):
@@ -80,37 +124,26 @@ class TestMergeInto:
         # server's.
         assert snapshot_total(merged, "sessions_active") == 6.0
 
-    def test_histograms_merge_bucket_wise(self):
-        merged = merged_snapshots([
-            make_snapshot(observe=(0.005,), op="scan"),
-            make_snapshot(observe=(0.5, 2.0), op="scan"),
-        ])
-        [cell] = merged["scan_seconds"]["series"]
-        # buckets: <=0.01, <=0.1, <=1.0, +Inf
-        assert cell["counts"] == [1, 0, 1, 1]
-        assert cell["count"] == 3
-        assert cell["sum"] == pytest.approx(2.505)
-
-    def test_mismatched_bucket_layouts_rejected_loudly(self):
-        registry = MetricsRegistry()
-        registry.histogram("scan_seconds", "scan latency",
-                           buckets=[0.5, 5.0]).observe(0.1)
-        other = registry.as_dict()
-        with pytest.raises(ReproError, match="bucket layouts differ"):
+    def test_kind_mismatch_rejected_loudly(self):
+        other = {"sessions_active": metric("counter", "oops, a counter now",
+                                           [({}, 1)])}
+        with pytest.raises(ReproError, match="kind"):
             merge_into(make_snapshot(), other)
 
-    def test_kind_mismatch_rejected_loudly(self):
-        registry = MetricsRegistry()
-        registry.counter("sessions_active", "oops, a counter now").inc()
-        with pytest.raises(ReproError, match="kind"):
-            merge_into(make_snapshot(), registry.as_dict())
+    @pytest.mark.parametrize("into", [{}, {"scan_seconds": metric(
+        "counter", "", [({}, 1)])}])
+    def test_other_kinds_rejected_loudly(self, into):
+        histogram = {"scan_seconds": {"kind": "histogram", "help": "",
+                                      "buckets": [0.1], "series": []}}
+        with pytest.raises(ReproError, match="kind histogram"):
+            merge_into(into, histogram)
 
 
 class TestRelabel:
     def test_relabel_stamps_every_series(self):
         snap = relabel_snapshot(make_snapshot(op="scan"), worker=3)
-        for metric in snap.values():
-            for cell in metric["series"]:
+        for entry in snap.values():
+            for cell in entry["series"]:
                 assert cell["labels"]["worker"] == "3"  # str-coerced
         # pre-existing labels survive
         assert snap["scans_total"]["series"][0]["labels"]["op"] == "scan"
@@ -133,34 +166,29 @@ class TestRelabel:
 
 
 class TestSnapshotTotal:
-    def test_fields_and_missing_metrics(self):
-        snap = make_snapshot()
-        assert snapshot_total(snap, "scans_total") == 3.0
-        assert snapshot_total(snap, "scan_seconds", field="count") == 3.0
-        assert snapshot_total(snap, "scan_seconds", field="sum") == \
-            pytest.approx(0.555)
+    def test_values_and_missing_metrics(self):
+        snap = merged_snapshots([make_snapshot(op="scan"),
+                                 make_snapshot(scans=4.5, op="scan_batch")])
+        assert snapshot_total(snap, "scans_total") == 7.5
         assert snapshot_total(snap, "no_such_metric") == 0.0
 
 
 class TestRenderSnapshotText:
-    def test_counter_and_histogram_exposition(self):
-        registry = MetricsRegistry()
-        registry.counter("scans_total", "scans served").inc(3.0, op="scan")
-        registry.histogram("scan_seconds", "scan latency",
-                           buckets=BUCKETS).observe(0.05, op="scan")
-        assert render_snapshot_text(registry.as_dict()).splitlines() == [
-            "# HELP scan_seconds scan latency",
-            "# TYPE scan_seconds histogram",
-            'scan_seconds_bucket{op="scan",le="0.01"} 0',
-            'scan_seconds_bucket{op="scan",le="0.1"} 1',
-            'scan_seconds_bucket{op="scan",le="1"} 1',
-            'scan_seconds_bucket{op="scan",le="+Inf"} 1',
-            'scan_seconds_sum{op="scan"} 0.05',
-            'scan_seconds_count{op="scan"} 1',
+    def test_counter_and_gauge_exposition(self):
+        text = render_snapshot_text(make_snapshot(op="scan"))
+        assert text.splitlines() == [
             "# HELP scans_total scans served",
             "# TYPE scans_total counter",
             'scans_total{op="scan"} 3',
+            "# HELP sessions_active live sessions",
+            "# TYPE sessions_active gauge",
+            'sessions_active{op="scan"} 2',
         ]
+
+    def test_unlabelled_series_render_bare(self):
+        snap = {"up": metric("gauge", "", [({}, 1)])}
+        assert render_snapshot_text(snap).splitlines() == [
+            "# HELP up ", "# TYPE up gauge", "up 1"]
 
     def test_empty_snapshot_renders_nothing(self):
         assert render_snapshot_text({}) == ""
